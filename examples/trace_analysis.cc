@@ -1,20 +1,20 @@
-// Trace analysis: record a block-level trace (blktrace-style) of one HDFS
-// disk and one MapReduce disk during a TeraSort run, round-trip it through
-// the on-disk trace format, and print the access-pattern analysis that
-// backs the paper's "HDFS is large sequential, MapReduce is small random"
-// observation.
+// Trace analysis: record the block-layer Q/M/D/C lifecycle trace of every
+// HDFS and MapReduce disk during a TeraSort run, round-trip it through the
+// binary artifact format (docs/BLKTRACE.md), and print the bdio-blkparse
+// characterization that backs the paper's "HDFS is large sequential,
+// MapReduce is small random" observation.
 //
 //   $ ./trace_analysis [trace_output_dir]
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <string>
 
+#include "bdio_blkparse/blkparse.h"
 #include "cluster/cluster.h"
 #include "hdfs/hdfs.h"
 #include "mapreduce/engine.h"
+#include "obs/blktrace.h"
 #include "sim/simulator.h"
-#include "trace/trace.h"
 #include "workloads/profile.h"
 
 int main(int argc, char** argv) {
@@ -38,10 +38,9 @@ int main(int argc, char** argv) {
       workloads::BuildPlan(workloads::WorkloadKind::kTeraSort, options);
   BDIO_CHECK_OK(dfs.Preload(plan.dataset_path, plan.dataset_bytes));
 
-  // Attach recorders to one disk of each class on worker 0.
-  trace::Recorder hdfs_rec, mr_rec;
-  hdfs_rec.Attach(cluster.node(0)->hdfs_disk(0));
-  mr_rec.Attach(cluster.node(0)->mr_disk(0));
+  // Trace every disk of every worker; devices are tagged "hdfs" or "mr".
+  obs::BlktraceSession session(&sim);
+  cluster.AttachBlktrace(&session);
 
   mapreduce::MrEngine engine(&cluster, &dfs,
                              mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
@@ -54,36 +53,25 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Persist and reload the traces (the blkparse-like text format).
-  auto round_trip = [&](const trace::Recorder& rec, const std::string& name) {
-    const std::string path = out_dir + "/" + name + ".trace";
-    std::ofstream out(path);
-    trace::WriteTrace(rec.events(), out);
-    out.close();
-    std::ifstream in(path);
-    auto loaded = trace::ReadTrace(in);
-    BDIO_CHECK(loaded.ok()) << loaded.status().ToString();
-    std::printf("%s: %zu requests captured -> %s\n", name.c_str(),
-                loaded->size(), path.c_str());
-    return std::move(loaded).value();
-  };
-  const auto hdfs_events = round_trip(hdfs_rec, "hdfs_disk");
-  const auto mr_events = round_trip(mr_rec, "mr_disk");
-
-  trace::Analyzer hdfs_an(hdfs_events);
-  trace::Analyzer mr_an(mr_events);
-  std::printf("\n--- HDFS data disk (n0-hdfs0) ---\n%s",
-              hdfs_an.Summary().c_str());
-  std::printf("\n--- MapReduce intermediate disk (n0-mr0) ---\n%s",
-              mr_an.Summary().c_str());
+  // Persist and reload the trace (the artifact bdio-blkparse reads).
+  const std::string path = out_dir + "/terasort.blk";
+  BDIO_CHECK_OK(session.WriteFile(path));
+  auto loaded = blkparse::ParseFile(path);
+  BDIO_CHECK(loaded.ok()) << loaded.status().ToString();
+  blkparse::Report report = blkparse::Analyze(loaded.value());
+  const blkparse::ScopeSummary& hdfs = report.classes["hdfs"];
+  const blkparse::ScopeSummary& mr = report.classes["mr"];
+  std::printf("requests captured: hdfs %llu, mr %llu -> %s\n\n",
+              static_cast<unsigned long long>(hdfs.requests),
+              static_cast<unsigned long long>(mr.requests), path.c_str());
+  std::printf("%s", blkparse::RenderText(report).c_str());
 
   std::printf("\nObservation 4 in numbers:\n");
   std::printf("  sequential fraction   hdfs %.2f vs mr %.2f\n",
-              hdfs_an.SequentialFraction(), mr_an.SequentialFraction());
+              hdfs.seq_score, mr.seq_score);
   std::printf("  mean request size     hdfs %.0f vs mr %.0f sectors\n",
-              hdfs_an.MeanRequestSectors(), mr_an.MeanRequestSectors());
+              hdfs.avgrq_sectors, mr.avgrq_sectors);
   std::printf("  median queue wait     hdfs %.1f vs mr %.1f ms\n",
-              hdfs_an.queue_wait_ms().Median(),
-              mr_an.queue_wait_ms().Median());
+              hdfs.wait_ms.p50, mr.wait_ms.p50);
   return 0;
 }

@@ -17,6 +17,46 @@ uint64_t SplitMix64(uint64_t* state) {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+/// The (n, theta)-only terms of Rng::Zipf.
+struct ZipfConstants {
+  uint64_t n = 0;  ///< 0 marks an empty memo slot.
+  double theta = 0;
+  double zetan = 0;
+  double eta = 0;
+};
+
+// zetan costs up to 10,000 std::pow calls, and callers draw many values from
+// a handful of fixed (n, theta) pairs, so each thread keeps the last four.
+const ZipfConstants& ZipfConstantsFor(uint64_t n, double theta) {
+  constexpr size_t kSlots = 4;
+  thread_local ZipfConstants memo[kSlots];
+  thread_local size_t next_slot = 0;
+  for (const ZipfConstants& c : memo) {
+    if (c.n == n && c.theta == theta) return c;
+  }
+  ZipfConstants& c = memo[next_slot];
+  next_slot = (next_slot + 1) % kSlots;
+  c.n = n;
+  c.theta = theta;
+  c.zetan = [&] {
+    // Harmonic-like normalizer; for modelling purposes an approximation over
+    // a capped number of terms keeps generation O(1) amortized.
+    double z = 0;
+    const uint64_t terms = n < 10000 ? n : 10000;
+    for (uint64_t i = 1; i <= terms; ++i) z += 1.0 / std::pow(i, theta);
+    if (n > terms) {
+      // Integral tail approximation for the remaining terms.
+      z += (std::pow(static_cast<double>(n), 1 - theta) -
+            std::pow(static_cast<double>(terms), 1 - theta)) /
+           (1 - theta);
+    }
+    return z;
+  }();
+  c.eta = (1 - std::pow(2.0 / static_cast<double>(n), 1 - theta)) /
+          (1 - (1.0 / std::pow(2.0, theta)) * 2.0 / c.zetan);
+  return c;
+}
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -86,31 +126,16 @@ double Rng::Exponential(double mean) {
 
 uint64_t Rng::Zipf(uint64_t n, double theta) {
   BDIO_CHECK(n > 0);
-  BDIO_CHECK(theta > 0 && theta <= 1.0);
+  BDIO_CHECK(theta > 0 && theta < 1.0);
   // Classic YCSB-style zipfian via the Gray et al. quick formula.
   const double alpha = 1.0 / (1.0 - theta);
-  const double zetan = [&] {
-    // Harmonic-like normalizer; for modelling purposes an approximation over
-    // a capped number of terms keeps generation O(1) amortized.
-    double z = 0;
-    const uint64_t terms = n < 10000 ? n : 10000;
-    for (uint64_t i = 1; i <= terms; ++i) z += 1.0 / std::pow(i, theta);
-    if (n > terms) {
-      // Integral tail approximation for the remaining terms.
-      z += (std::pow(static_cast<double>(n), 1 - theta) -
-            std::pow(static_cast<double>(terms), 1 - theta)) /
-           (1 - theta);
-    }
-    return z;
-  }();
-  const double eta = (1 - std::pow(2.0 / static_cast<double>(n), 1 - theta)) /
-                     (1 - (1.0 / std::pow(2.0, theta)) * 2.0 / zetan);
+  const ZipfConstants& k = ZipfConstantsFor(n, theta);
   double u = NextDouble();
-  double uz = u * zetan;
+  double uz = u * k.zetan;
   if (uz < 1.0) return 0;
   if (uz < 1.0 + std::pow(0.5, theta)) return 1;
   uint64_t v = static_cast<uint64_t>(
-      static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
+      static_cast<double>(n) * std::pow(k.eta * u - k.eta + 1.0, alpha));
   return v >= n ? n - 1 : v;
 }
 

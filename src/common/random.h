@@ -44,7 +44,7 @@ class Rng {
   /// Exponential with the given mean (= 1/lambda). mean must be > 0.
   double Exponential(double mean);
 
-  /// Zipf-distributed integer in [0, n) with exponent `theta` in (0, 1].
+  /// Zipf-distributed integer in [0, n) with exponent `theta` in (0, 1).
   /// Uses the rejection-inversion-free approximation adequate for workload
   /// skew modelling (popularity of keys/blocks).
   uint64_t Zipf(uint64_t n, double theta);

@@ -75,29 +75,50 @@ BenchOptions BenchOptions::Parse(
     int argc, char** argv,
     const std::function<bool(const std::string&)>& extra,
     const std::string& extra_usage) {
+  // Every flag that takes a value, each accepted as --flag=V and --flag V.
+  static const struct {
+    const char* flag;
+    void (*set)(BenchOptions*, const char*);
+  } kValueFlags[] = {
+      {"--scale",
+       [](BenchOptions* o, const char* v) { o->scale = ParseScaleOrDie(v); }},
+      {"--seed",
+       [](BenchOptions* o, const char* v) { o->seed = ParseSeedOrDie(v); }},
+      {"--workers",
+       [](BenchOptions* o, const char* v) {
+         o->num_workers = ParseWorkersOrDie(v);
+       }},
+      {"--jobs",
+       [](BenchOptions* o, const char* v) { o->jobs = ParseJobsOrDie(v); }},
+      {"--outdir", [](BenchOptions* o, const char* v) { o->outdir = v; }},
+      {"--trace-out", [](BenchOptions* o, const char* v) { o->trace_out = v; }},
+      {"--metrics-out",
+       [](BenchOptions* o, const char* v) { o->metrics_out = v; }},
+      {"--blktrace-out",
+       [](BenchOptions* o, const char* v) { o->blktrace_out = v; }},
+  };
+
   BenchOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      options.scale = ParseScaleOrDie(arg.c_str() + 8);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = ParseSeedOrDie(arg.c_str() + 7);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      options.num_workers = ParseWorkersOrDie(arg.c_str() + 10);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      options.jobs = ParseJobsOrDie(arg.c_str() + 7);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      options.jobs = ParseJobsOrDie(argv[++i]);
-    } else if (arg == "--csv") {
+    bool took_value = false;
+    for (const auto& [flag, set] : kValueFlags) {
+      const size_t len = std::strlen(flag);
+      if (arg.compare(0, len, flag) != 0) continue;
+      if (arg.size() == len) {
+        if (i + 1 == argc) DieBadFlag(flag, "a value", "");
+        set(&options, argv[++i]);
+      } else if (arg[len] == '=') {
+        set(&options, arg.c_str() + len + 1);
+      } else {
+        continue;
+      }
+      took_value = true;
+      break;
+    }
+    if (took_value) continue;
+    if (arg == "--csv") {
       options.csv = true;
-    } else if (arg.rfind("--outdir=", 0) == 0) {
-      options.outdir = arg.substr(9);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      options.trace_out = arg.substr(12);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      options.metrics_out = arg.substr(14);
-    } else if (arg.rfind("--blktrace-out=", 0) == 0) {
-      options.blktrace_out = arg.substr(15);
     } else if (arg == "--calibrate") {
       options.calibrate = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -106,6 +127,7 @@ BenchOptions BenchOptions::Parse(
                    "          [--workers=N] [--jobs=N] [--csv] [--calibrate]\n"
                    "          [--outdir=<dir>] [--trace-out=<file>]\n"
                    "          [--metrics-out=<file>] [--blktrace-out=<file>]\n"
+                   "  every --flag=V above may also be given as --flag V\n"
                    "  --jobs=N  run up to N simulations in parallel\n"
                    "            (default: BDIO_JOBS env var, else all cores)\n"
                    "  --trace-out=<file>    write a Chrome/Perfetto trace of\n"

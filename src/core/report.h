@@ -39,10 +39,11 @@ struct BenchOptions {
   /// the bench's first grid cell (set by the bench, not a flag).
   std::string trace_label;
 
-  /// Parses --scale=<den|frac>, --seed=, --workers=, --jobs=N (also
-  /// "--jobs N"), --csv, --calibrate, --outdir=<dir>, --trace-out=<file>,
-  /// --metrics-out=<file>, --blktrace-out=<file> (the last three also read
-  /// the BDIO_TRACE_OUT / BDIO_METRICS_OUT / BDIO_BLKTRACE_OUT env vars).
+  /// Parses --scale=<den|frac>, --seed=, --workers=, --jobs=N, --csv,
+  /// --calibrate, --outdir=<dir>, --trace-out=<file>, --metrics-out=<file>,
+  /// --blktrace-out=<file> (the last three also read the BDIO_TRACE_OUT /
+  /// BDIO_METRICS_OUT / BDIO_BLKTRACE_OUT env vars). Every flag that takes
+  /// a value accepts both "--flag=V" and "--flag V".
   /// Numeric flag values are validated: a malformed or out-of-range
   /// --scale/--seed/--workers/--jobs aborts with exit code 2 instead of
   /// silently wrapping. Unknown flags abort with a usage message.

@@ -183,7 +183,6 @@ void BlockDevice::Complete(IoRequest* req) {
     m_request_sectors_->Observe(static_cast<double>(req->sectors.count()));
     m_await_ms_->Observe(ToMillis(req->complete_time - req->submit_time));
   }
-  if (observer_) observer_(*req);
   // Completion callbacks may Submit follow-on bios, which can allocate from
   // the pool — so the request is recycled only after they ran.
   for (auto& cb : req->on_complete) {

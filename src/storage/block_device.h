@@ -1,7 +1,6 @@
 #ifndef BDIO_STORAGE_BLOCK_DEVICE_H_
 #define BDIO_STORAGE_BLOCK_DEVICE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -52,11 +51,6 @@ class BlockDevice {
   /// Counter snapshot as of the current simulated time.
   DiskStatsSnapshot Stats() const { return stats_.Snapshot(sim_->Now()); }
 
-  /// Observer invoked at each request completion (used by bdio::trace).
-  void SetCompletionObserver(std::function<void(const IoRequest&)> obs) {
-    observer_ = std::move(obs);
-  }
-
   /// Degrades (factor > 1) or restores (factor == 1) the drive's service
   /// time — the fault-injection model of a failing spindle. Requests
   /// already accepted by the drive are unaffected; everything dispatched
@@ -103,7 +97,6 @@ class BlockDevice {
   DiskModel model_;
   std::unique_ptr<IoScheduler> scheduler_;
   DiskStats stats_;
-  std::function<void(const IoRequest&)> observer_;
   uint64_t next_id_ = 1;
   bool busy_ = false;
   /// Backing storage for every in-flight request on this device.

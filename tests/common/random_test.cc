@@ -86,6 +86,31 @@ TEST(RngTest, ZipfSkewsTowardHead) {
   for (auto& [k, v] : counts) EXPECT_LT(k, 1000u);
 }
 
+TEST(RngTest, ZipfDrawsMatchRecordedHash) {
+  // Five (n, theta) pairs round-robin, one more than the per-thread memo of
+  // normalizers holds, so every draw also exercises slot eviction. The hash
+  // was recorded from the implementation that recomputed the normalizer on
+  // every draw; the memo must not change a single value.
+  Rng rng(2024);
+  const struct {
+    uint64_t n;
+    double theta;
+  } kDists[] = {{1000, 0.99}, {1000000, 0.8}, {50, 0.7}, {20000, 0.9},
+                {1000, 0.5}};
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (int i = 0; i < 2000; ++i) {
+    const auto& d = kDists[i % 5];
+    hash = (hash ^ rng.Zipf(d.n, d.theta)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0xeded34ed6f8b8553ULL);
+}
+
+TEST(RngTest, ZipfRejectsThetaOne) {
+  // theta == 1 makes the inversion exponent 1 / (1 - theta) infinite.
+  Rng rng(1);
+  EXPECT_DEATH(rng.Zipf(100000, 1.0), "");
+}
+
 TEST(RngTest, PoissonMean) {
   Rng rng(19);
   double sum = 0;

@@ -232,7 +232,8 @@ TEST(GridRunnerTest, PrefetchThenGetSimulatesOnceAndCaches) {
   EXPECT_EQ(runs.load(), 1);
 
   grid.PrefetchAll({factors});  // 4 workloads; PageRank already cached
-  grid.Get(WorkloadKind::kTeraSort, factors);
+  // Get joins only its own key, so join all four before counting runs.
+  for (WorkloadKind kind : workloads::AllWorkloads()) grid.Get(kind, factors);
   EXPECT_EQ(runs.load(), 4);
 }
 
@@ -262,6 +263,35 @@ TEST(BenchOptionsTest, ParsesJobsFlagBothForms) {
     const char* argv[] = {"bench", "--jobs", "3"};
     BenchOptions o = BenchOptions::Parse(3, const_cast<char**>(argv));
     EXPECT_EQ(o.jobs, 3u);
+  }
+  {
+    const char* argv[] = {"bench", "--seed", "9", "--scale", "64",
+                          "--workers", "3", "--outdir", "d"};
+    BenchOptions o = BenchOptions::Parse(9, const_cast<char**>(argv));
+    EXPECT_EQ(o.seed, 9u);
+    EXPECT_EQ(o.scale, 1.0 / 64);
+    EXPECT_EQ(o.num_workers, 3u);
+    EXPECT_EQ(o.outdir, "d");
+  }
+  {
+    const char* argv[] = {"bench", "--seed=11", "--scale=0.25",
+                          "--workers=5"};
+    BenchOptions o = BenchOptions::Parse(4, const_cast<char**>(argv));
+    EXPECT_EQ(o.seed, 11u);
+    EXPECT_EQ(o.scale, 0.25);
+    EXPECT_EQ(o.num_workers, 5u);
+  }
+  {
+    // Garbage and missing values still exit 2, in either form.
+    const char* seed_garbage[] = {"bench", "--seed", "12x"};
+    EXPECT_EXIT(BenchOptions::Parse(3, const_cast<char**>(seed_garbage)),
+                ::testing::ExitedWithCode(2), "--seed expects");
+    const char* workers_garbage[] = {"bench", "--workers=-1"};
+    EXPECT_EXIT(BenchOptions::Parse(2, const_cast<char**>(workers_garbage)),
+                ::testing::ExitedWithCode(2), "--workers expects");
+    const char* scale_missing[] = {"bench", "--scale"};
+    EXPECT_EXIT(BenchOptions::Parse(2, const_cast<char**>(scale_missing)),
+                ::testing::ExitedWithCode(2), "--scale expects");
   }
   {
     const char* argv[] = {"bench"};

@@ -1,15 +1,16 @@
 // End-to-end consistency tests across the whole stack: workload plan ->
-// MapReduce engine -> HDFS -> page cache -> block devices -> iostat/trace.
+// MapReduce engine -> HDFS -> page cache -> block devices -> iostat/blktrace.
 
 #include <gtest/gtest.h>
 
+#include "bdio_blkparse/blkparse.h"
 #include "cluster/cluster.h"
 #include "core/experiment.h"
 #include "hdfs/hdfs.h"
 #include "iostat/iostat.h"
 #include "mapreduce/engine.h"
+#include "obs/blktrace.h"
 #include "sim/simulator.h"
-#include "trace/trace.h"
 #include "workloads/profile.h"
 
 namespace bdio {
@@ -99,8 +100,8 @@ TEST(PipelineTest, VolumeConservationTeraSort) {
 
 TEST(PipelineTest, TraceMatchesDiskstats) {
   Testbed bed;
-  trace::Recorder rec;
-  rec.Attach(bed.cluster->node(0)->hdfs_disk(0));
+  obs::BlktraceSession session(&bed.sim);
+  bed.cluster->AttachBlktrace(&session);
   ASSERT_TRUE(bed.dfs->Preload("/in", MiB(128)).ok());
   mapreduce::SimJobSpec spec;
   spec.input_path = "/in";
@@ -112,13 +113,34 @@ TEST(PipelineTest, TraceMatchesDiskstats) {
   });
   bed.sim.Run();
   ASSERT_TRUE(done);
-  // Every completed request observed by the tracer is in diskstats and
-  // vice versa.
-  const auto stats = bed.cluster->node(0)->hdfs_disk(0)->Stats();
-  EXPECT_EQ(rec.size(), stats.TotalIos());
-  uint64_t traced_sectors = 0;
-  for (const auto& e : rec.events()) traced_sectors += e.sectors;
-  EXPECT_EQ(traced_sectors, stats.TotalSectors());
+  ASSERT_EQ(session.dropped_records(), 0u);
+  // Every completed request in diskstats is one C record and vice versa.
+  // AttachBlktrace registers each worker's hdfs disks, then its mr disks.
+  uint16_t index = 0;
+  auto check = [&](storage::BlockDevice* dev) {
+    ASSERT_EQ(session.device(index).name, dev->name());
+    uint64_t completions = 0;
+    uint64_t traced_sectors = 0;
+    for (const obs::BlktraceRecord& r : session.DeviceRecords(index++)) {
+      if (r.action == static_cast<uint8_t>(obs::BlkAction::kComplete)) {
+        ++completions;
+        traced_sectors += r.sectors;
+      }
+    }
+    const auto stats = dev->Stats();
+    EXPECT_EQ(completions, stats.TotalIos()) << dev->name();
+    EXPECT_EQ(traced_sectors, stats.TotalSectors()) << dev->name();
+  };
+  for (uint32_t n = 0; n < bed.cluster->num_workers(); ++n) {
+    cluster::Node* node = bed.cluster->node(n);
+    for (uint32_t d = 0; d < node->num_hdfs_disks(); ++d) {
+      check(node->hdfs_disk(d));
+    }
+    for (uint32_t d = 0; d < node->num_mr_disks(); ++d) {
+      check(node->mr_disk(d));
+    }
+  }
+  EXPECT_EQ(index, session.num_devices());
 }
 
 TEST(PipelineTest, IostatInvariantsDuringWorkload) {
@@ -157,9 +179,8 @@ TEST(PipelineTest, IostatInvariantsDuringWorkload) {
 
 TEST(PipelineTest, HdfsPatternSequentialMrPatternSeeky) {
   Testbed bed;
-  trace::Recorder hdfs_rec, mr_rec;
-  hdfs_rec.Attach(bed.cluster->node(0)->hdfs_disk(0));
-  mr_rec.Attach(bed.cluster->node(0)->mr_disk(0));
+  obs::BlktraceSession session(&bed.sim);
+  bed.cluster->AttachBlktrace(&session);
   workloads::PlanOptions options;
   options.scale = 1.0 / 256;
   auto plan =
@@ -173,13 +194,15 @@ TEST(PipelineTest, HdfsPatternSequentialMrPatternSeeky) {
                      });
   bed.sim.Run();
   ASSERT_TRUE(done);
-  trace::Analyzer hdfs_an(hdfs_rec.events());
-  trace::Analyzer mr_an(mr_rec.events());
-  ASSERT_GT(hdfs_an.num_requests(), 50u);
-  ASSERT_GT(mr_an.num_requests(), 50u);
+  blkparse::Report report =
+      blkparse::Analyze(blkparse::FromSession(session));
+  const blkparse::ScopeSummary& hdfs = report.classes["hdfs"];
+  const blkparse::ScopeSummary& mr = report.classes["mr"];
+  ASSERT_GT(hdfs.requests, 50u);
+  ASSERT_GT(mr.requests, 50u);
   // The paper's Observation 4.
-  EXPECT_GT(hdfs_an.SequentialFraction(), mr_an.SequentialFraction() + 0.2);
-  EXPECT_GT(hdfs_an.MeanRequestSectors(), mr_an.MeanRequestSectors());
+  EXPECT_GT(hdfs.seq_score, mr.seq_score + 0.2);
+  EXPECT_GT(hdfs.avgrq_sectors, mr.avgrq_sectors);
 }
 
 TEST(PipelineTest, CompressionReducesMrTrafficEndToEnd) {

@@ -90,16 +90,6 @@ TEST_F(BlockDeviceTest, SequentialFasterThanRandom) {
   EXPECT_LT(sim_seq.Now().ns(), sim_rnd.Now().ns() / 5);
 }
 
-TEST_F(BlockDeviceTest, CompletionObserverSeesRequests) {
-  std::vector<uint64_t> sizes;
-  dev_.SetCompletionObserver(
-      [&](const IoRequest& r) { sizes.push_back(r.sectors.count()); });
-  dev_.Submit(IoType::kRead, Sectors(0), Sectors(8), nullptr);
-  dev_.Submit(IoType::kWrite, Sectors(5000), Sectors(16), nullptr);
-  sim_.Run();
-  ASSERT_EQ(sizes.size(), 2u);
-}
-
 TEST_F(BlockDeviceTest, TimeInQueueGrowsWithDepth) {
   // Submit a burst; weighted queue time must exceed busy time when depth>1.
   Rng rng(6);

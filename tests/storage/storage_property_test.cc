@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/random.h"
@@ -29,7 +30,9 @@ const char* MixName(Mix m) {
   return "?";
 }
 
-using Param = std::tuple<const char* /*elevator*/, uint32_t /*ncq*/, Mix>;
+// Elevator names are std::string, not const char*: gtest prints a pointer
+// parameter as its address, which would leak into the ctest test names.
+using Param = std::tuple<std::string /*elevator*/, uint32_t /*ncq*/, Mix>;
 
 class StorageProperty : public ::testing::TestWithParam<Param> {};
 
@@ -98,13 +101,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          Mix::kRandomRead,
                                          Mix::kRandomMixed)),
     [](const ::testing::TestParamInfo<Param>& info) {
-      return std::string(std::get<0>(info.param)) + "_ncq" +
+      return std::get<0>(info.param) + "_ncq" +
              std::to_string(std::get<1>(info.param)) + "_" +
              MixName(std::get<2>(info.param));
     });
 
-class SeqThroughputProperty
-    : public ::testing::TestWithParam<std::tuple<const char*, uint32_t>> {};
+using SeqParam = std::tuple<std::string /*elevator*/, uint32_t /*ncq*/>;
+
+class SeqThroughputProperty : public ::testing::TestWithParam<SeqParam> {};
 
 TEST_P(SeqThroughputProperty, SequentialStreamNearSustainedRate) {
   const auto [elevator, ncq] = GetParam();
@@ -129,9 +133,8 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SeqThroughputProperty,
     ::testing::Combine(::testing::Values("noop", "deadline"),
                        ::testing::Values(1u, 32u)),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, uint32_t>>&
-           info) {
-      return std::string(std::get<0>(info.param)) + "_ncq" +
+    [](const ::testing::TestParamInfo<SeqParam>& info) {
+      return std::get<0>(info.param) + "_ncq" +
              std::to_string(std::get<1>(info.param));
     });
 
