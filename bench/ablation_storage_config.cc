@@ -19,10 +19,12 @@ using namespace bdio;
 core::ExperimentResult Run(const core::BenchOptions& options,
                            const std::string& label,
                            std::function<void(core::ExperimentSpec*)> tweak,
-                           bool collect_trace = false) {
+                           bool observed = false) {
   core::ExperimentSpec spec = options.MakeSpec(
       workloads::WorkloadKind::kTeraSort, core::SlotsLevels()[0]);
-  spec.collect_trace = collect_trace;
+  // Only the observed run records the span trace and the blktrace.
+  spec.collect_trace = observed && !options.trace_out.empty();
+  spec.collect_blktrace = observed && !options.blktrace_out.empty();
   tweak(&spec);
   auto result = core::RunExperiment(spec);
   BDIO_CHECK(result.ok()) << result.status().ToString();
@@ -40,8 +42,7 @@ int main(int argc, char** argv) {
 
   std::vector<core::ExperimentResult> results;
   results.push_back(Run(options, "baseline 3+3 deadline",
-                        [](core::ExperimentSpec*) {},
-                        !options.trace_out.empty()));
+                        [](core::ExperimentSpec*) {}, /*observed=*/true));
   results.push_back(Run(options, "disks 4 hdfs + 2 mr",
                         [](core::ExperimentSpec* s) {
                           s->num_hdfs_disks = 4;
@@ -90,11 +91,9 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.ToString().c_str(), stdout);
 
-  if (!options.trace_out.empty() || !options.metrics_out.empty()) {
-    std::vector<std::pair<std::string, const core::ExperimentResult*>> obs;
-    for (const auto& r : results) obs.emplace_back(r.label, &r);
-    core::WriteObsArtifacts(options, obs);
-  }
+  std::vector<std::pair<std::string, const core::ExperimentResult*>> obs;
+  for (const auto& r : results) obs.emplace_back(r.label, &r);
+  core::WriteObsArtifacts(options, obs);
 
   std::vector<core::ShapeCheck> checks;
   // TeraSort is MR-bound: giving the intermediate data more spindles must

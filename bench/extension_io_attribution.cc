@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
       "Extension", "Sources of physical I/O demand per workload", options);
 
   const core::Factors factors = core::SlotsLevels()[0];  // 1_8, 16G, on
-  if (!options.trace_out.empty()) {
+  if (!options.trace_out.empty() || !options.blktrace_out.empty()) {
     options.trace_label = factors.Label(workloads::AllWorkloads().front());
   }
   core::GridRunner grid(options);
@@ -64,14 +64,12 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.ToString().c_str(), stdout);
 
-  if (!options.trace_out.empty() || !options.metrics_out.empty()) {
-    std::vector<std::pair<std::string, const core::ExperimentResult*>> obs;
-    for (workloads::WorkloadKind w : workloads::AllWorkloads()) {
-      const auto& res = grid.Get(w, factors);
-      obs.emplace_back(res.label, &res);
-    }
-    core::WriteObsArtifacts(options, obs);
+  std::vector<std::pair<std::string, const core::ExperimentResult*>> obs;
+  for (workloads::WorkloadKind w : workloads::AllWorkloads()) {
+    const auto& res = grid.Get(w, factors);
+    obs.emplace_back(res.label, &res);
   }
+  core::WriteObsArtifacts(options, obs);
 
   using workloads::WorkloadKind;
   std::vector<core::ShapeCheck> checks;

@@ -3,13 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/table.h"
-#include "workloads/profile.h"
-
 namespace bdio::bench {
-
-using core::Factors;
-using core::GridRunner;
 
 void PreloadOrExit(hdfs::Hdfs* dfs, const std::string& path,
                    uint64_t bytes) {
@@ -34,129 +28,6 @@ cluster::ClusterParams MakeScaledClusterParams(
       static_cast<uint64_t>(static_cast<double>(MiB(200)) * options.scale);
   cp.node.min_cache_bytes = MiB(16);
   return cp;
-}
-
-std::vector<Factors> LevelsFor(FactorContext context) {
-  switch (context) {
-    case FactorContext::kSlots:
-      return core::SlotsLevels();
-    case FactorContext::kMemory:
-      return core::MemoryLevels();
-    case FactorContext::kCompression:
-      return core::CompressionLevels();
-  }
-  return {};
-}
-
-std::string LevelLabel(FactorContext context, const Factors& f) {
-  switch (context) {
-    case FactorContext::kSlots:
-      return f.slots.label;
-    case FactorContext::kMemory:
-      return f.MemoryLabel();
-    case FactorContext::kCompression:
-      return f.CompressionLabel();
-  }
-  return "?";
-}
-
-int RunFigure(int argc, char** argv, const FigureDef& def) {
-  core::BenchOptions options = core::BenchOptions::Parse(argc, argv);
-  core::PrintFigureHeader(def.id, def.caption, options);
-
-  const std::vector<Factors> levels = LevelsFor(def.context);
-  // --trace-out records one experiment; pick the figure's first grid cell.
-  if (!options.trace_out.empty() && !levels.empty()) {
-    options.trace_label =
-        levels.front().Label(workloads::AllWorkloads().front());
-  }
-  GridRunner grid(options);
-  // Submit the whole workload x level grid before printing anything: the
-  // simulations run concurrently (up to --jobs of them) while the Get calls
-  // below consume results in print order on this thread, keeping the table,
-  // CSV, and shape-check output byte-identical to a serial run.
-  grid.PrefetchAll(levels);
-
-  TextTable table;
-  std::vector<std::string> header{"config", "duration_s"};
-  for (const std::string& group : def.groups) {
-    for (iostat::Metric m : def.metrics) {
-      header.push_back(group + " " + iostat::MetricName(m));
-    }
-  }
-  table.SetHeader(std::move(header));
-
-  for (workloads::WorkloadKind w : workloads::AllWorkloads()) {
-    for (const Factors& f : levels) {
-      const core::ExperimentResult& res = grid.Get(w, f);
-      std::vector<std::string> row;
-      row.push_back(std::string(workloads::WorkloadShortName(w)) + "_" +
-                    LevelLabel(def.context, f));
-      row.push_back(TextTable::Num(res.duration_s, 1));
-      for (const std::string& group : def.groups) {
-        for (iostat::Metric m : def.metrics) {
-          row.push_back(TextTable::Num(
-              core::Summarize(res.group(group), m), 2));
-        }
-      }
-      table.AddRow(std::move(row));
-    }
-  }
-  std::fputs(table.ToString().c_str(), stdout);
-
-  if (options.csv) {
-    std::printf("\nPer-second series (CSV):\n");
-    for (workloads::WorkloadKind w : workloads::AllWorkloads()) {
-      for (const Factors& f : levels) {
-        const core::ExperimentResult& res = grid.Get(w, f);
-        for (const std::string& group : def.groups) {
-          for (iostat::Metric m : def.metrics) {
-            core::PrintSeriesCsv(
-                res.label + " " + group + " " + iostat::MetricName(m),
-                core::SeriesOf(res.group(group), m));
-          }
-        }
-      }
-    }
-  }
-  if (!options.outdir.empty()) {
-    std::string prefix = def.id;
-    for (char& c : prefix) {
-      if (c == ' ') c = '_';
-    }
-    size_t written = 0;
-    for (workloads::WorkloadKind w : workloads::AllWorkloads()) {
-      for (const Factors& f : levels) {
-        const core::ExperimentResult& res = grid.Get(w, f);
-        for (const std::string& group : def.groups) {
-          for (iostat::Metric m : def.metrics) {
-            core::WriteSeriesCsv(options.outdir,
-                                 prefix + "_" + res.label + "_" + group +
-                                     "_" + iostat::MetricName(m),
-                                 core::SeriesOf(res.group(group), m));
-            ++written;
-          }
-        }
-      }
-    }
-    std::printf("\nwrote %zu series CSV files to %s/\n", written,
-                options.outdir.c_str());
-  }
-
-  if (!options.trace_out.empty() || !options.metrics_out.empty()) {
-    std::vector<std::pair<std::string, const core::ExperimentResult*>>
-        results;
-    for (workloads::WorkloadKind w : workloads::AllWorkloads()) {
-      for (const Factors& f : levels) {
-        const core::ExperimentResult& res = grid.Get(w, f);
-        results.emplace_back(res.label, &res);
-      }
-    }
-    core::WriteObsArtifacts(options, results);
-  }
-
-  if (!def.checks) return 0;
-  return core::PrintShapeChecks(def.checks(grid, levels));
 }
 
 }  // namespace bdio::bench

@@ -1,9 +1,7 @@
 #ifndef BDIO_BENCH_FIGURE_COMMON_H_
 #define BDIO_BENCH_FIGURE_COMMON_H_
 
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "cluster/cluster.h"
 #include "core/report.h"
@@ -23,36 +21,6 @@ void PreloadOrExit(hdfs::Hdfs* dfs, const std::string& path, uint64_t bytes);
 /// taken from --workers. Mirrors core::RunExperiment's setup.
 cluster::ClusterParams MakeScaledClusterParams(
     const core::BenchOptions& options);
-
-/// Which factor a figure varies (selects the paper's factor context).
-enum class FactorContext { kSlots, kMemory, kCompression };
-
-/// Declarative description of one paper figure: vary one factor, report one
-/// or more iostat metrics for one or both disk classes, then evaluate the
-/// paper's qualitative claims as shape checks.
-struct FigureDef {
-  std::string id;       ///< "Figure 7"
-  std::string caption;  ///< Paper caption paraphrase.
-  FactorContext context = FactorContext::kSlots;
-  std::vector<iostat::Metric> metrics;
-  std::vector<std::string> groups;  ///< subset of {"hdfs", "mr"}
-
-  /// Builds the figure's shape checks from the completed grid.
-  std::function<std::vector<core::ShapeCheck>(
-      core::GridRunner&, const std::vector<core::Factors>&)>
-      checks;
-};
-
-/// Factor levels for a context.
-std::vector<core::Factors> LevelsFor(FactorContext context);
-
-/// Short label for a level under a context ("1_8", "16G", "off", ...).
-std::string LevelLabel(FactorContext context, const core::Factors& f);
-
-/// Runs the figure: executes the experiment grid, prints the summary table
-/// (one row per workload x level), optional CSV series, and the shape
-/// checks. Returns the number of failed checks (the process exit code).
-int RunFigure(int argc, char** argv, const FigureDef& def);
 
 }  // namespace bdio::bench
 

@@ -105,8 +105,7 @@ WorkloadScore RunTeraSortGrid(const core::BenchOptions& options,
                               std::vector<core::ExperimentResult>* retained) {
   WorkloadScore score;
   score.name = "terasort_grid";
-  const std::vector<core::Factors> levels =
-      bench::LevelsFor(bench::FactorContext::kSlots);
+  const std::vector<core::Factors> levels = core::SlotsLevels();
   WallTimer timer;
   for (const core::Factors& f : levels) {
     const core::ExperimentSpec spec =
@@ -460,10 +459,8 @@ int main(int argc, char** argv) {
                         !options.blktrace_out.empty();
   if ((!options.trace_out.empty() || !options.blktrace_out.empty()) &&
       options.trace_label.empty()) {
-    options.trace_label =
-        bench::LevelsFor(bench::FactorContext::kSlots)
-            .front()
-            .Label(workloads::WorkloadKind::kTeraSort);
+    options.trace_label = core::SlotsLevels().front().Label(
+        workloads::WorkloadKind::kTeraSort);
   }
   std::vector<core::ExperimentResult> retained;
   std::vector<WorkloadScore> scores;

@@ -15,11 +15,13 @@ using namespace bdio;
 
 core::ExperimentResult RunAt(const core::BenchOptions& base, double scale,
                              workloads::WorkloadKind w,
-                             bool collect_trace = false) {
+                             bool observed = false) {
   core::BenchOptions options = base;
   options.scale = scale;
   core::ExperimentSpec spec = options.MakeSpec(w, core::SlotsLevels()[0]);
-  spec.collect_trace = collect_trace;
+  // Only the observed run records the span trace and the blktrace.
+  spec.collect_trace = observed && !options.trace_out.empty();
+  spec.collect_blktrace = observed && !options.blktrace_out.empty();
   auto result = core::RunExperiment(spec);
   BDIO_CHECK(result.ok()) << result.status().ToString();
   return std::move(result).value();
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, const core::ExperimentResult*>> obs;
   for (double scale : scales) {
     all.push_back(RunAt(options, scale, workloads::WorkloadKind::kTeraSort,
-                        all.empty() && !options.trace_out.empty()));
+                        /*observed=*/all.empty()));
     const auto& ts = all.back();
     all.push_back(
         RunAt(options, scale, workloads::WorkloadKind::kAggregation));
@@ -81,8 +83,6 @@ int main(int argc, char** argv) {
         agg.hdfs.util.Mean() > ts.hdfs.util.Mean()});
   }
   std::fputs(table.ToString().c_str(), stdout);
-  if (!options.trace_out.empty() || !options.metrics_out.empty()) {
-    core::WriteObsArtifacts(options, obs);
-  }
+  core::WriteObsArtifacts(options, obs);
   return core::PrintShapeChecks(checks);
 }

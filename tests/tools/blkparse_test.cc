@@ -177,6 +177,29 @@ TEST(BlkparseTest, OrphanedLifecyclesAfterDropsAreSkipped) {
   EXPECT_EQ(hdfs.service_ms.count, 0u);
 }
 
+TEST(BlkparseTest, SeekPercentilesAreExact) {
+  // Ten 8-sector dispatches, each starting where the previous one ended,
+  // except for one 1000-sector jump before the sixth: nine seeks, eight of
+  // them exactly 0.
+  sim::Simulator sim;
+  obs::BlktraceSession session(&sim);
+  const uint16_t dev = session.RegisterDevice("sda", "hdfs", 0);
+  for (uint64_t i = 0; i < 10; ++i) {
+    const uint64_t sector = i * 8 + (i >= 5 ? 1000 : 0);
+    session.Record(dev, BlkAction::kQueue, 0, sector, 8, i + 1, 0, 0, 1);
+    session.Record(dev, BlkAction::kDispatch, 0, sector, 8, i + 1, 0, 0, 0);
+    session.Record(dev, BlkAction::kComplete, 0, sector, 8, i + 1, 0, 0, 0);
+  }
+
+  const Report report = Analyze(FromSession(session));
+  const ScopeSummary& hdfs = report.classes.at("hdfs");
+  EXPECT_EQ(hdfs.seq_dispatches, 8u);
+  EXPECT_EQ(hdfs.seek_sectors.count, 9u);
+  EXPECT_EQ(hdfs.seek_sectors.p50, 0.0);
+  EXPECT_EQ(hdfs.seek_sectors.max, 1000.0);
+  EXPECT_DOUBLE_EQ(hdfs.seek_sectors.mean, 1000.0 / 9);
+}
+
 TEST(BlkparseTest, RendersTextAndSignature) {
   sim::Simulator sim;
   obs::BlktraceSession session(&sim);

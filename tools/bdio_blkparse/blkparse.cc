@@ -74,14 +74,15 @@ Status Truncated() {
 
 /// Raw accumulators behind one ScopeSummary. Latency streams go into
 /// log-bucketed histograms (common::Histogram — bounded memory at ~2%
-/// percentile error); the small per-dispatch samples stay exact vectors
-/// summarized by stats::Percentiles.
+/// percentile error); the per-dispatch and per-queue samples (seek
+/// distance, inter-arrival, queue depth) stay exact vectors summarized by
+/// stats::Percentiles, so an exactly-0 seek reads as exactly 0.
 struct ScopeAccum {
   ScopeSummary sum;
   Histogram await_ms;
   Histogram wait_ms;
   Histogram service_ms;
-  Histogram seek_sectors;
+  std::vector<double> seek_sectors;
   std::vector<double> interarrival_ms;
   std::vector<double> queue_depth;
 };
@@ -138,7 +139,7 @@ void Finalize(ScopeAccum* a) {
   s.await_ms = SummarizeHistogram(a->await_ms);
   s.wait_ms = SummarizeHistogram(a->wait_ms);
   s.service_ms = SummarizeHistogram(a->service_ms);
-  s.seek_sectors = SummarizeHistogram(a->seek_sectors);
+  s.seek_sectors = SummarizeExact(a->seek_sectors);
   s.interarrival_ms = SummarizeExact(a->interarrival_ms);
   s.queue_depth = SummarizeExact(a->queue_depth);
 }
@@ -368,7 +369,7 @@ Report Analyze(const BlktraceFile& file) {
             const uint64_t seek = rec.sector > last_dispatch_end
                                       ? rec.sector - last_dispatch_end
                                       : last_dispatch_end - rec.sector;
-            cls.seek_sectors.Add(static_cast<double>(seek));
+            cls.seek_sectors.push_back(static_cast<double>(seek));
             if (seek == 0) ++cls.sum.seq_dispatches;
           }
           last_dispatch_end = rec.sector + rec.sectors;

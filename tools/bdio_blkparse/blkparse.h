@@ -41,8 +41,9 @@ Result<BlktraceFile> ParseFile(const std::string& path);
 BlktraceFile FromSession(const obs::BlktraceSession& session);
 
 /// Percentile summary of one latency/size distribution. Latencies come
-/// from a log-bucketed common::Histogram (±2% on percentiles); small
-/// distributions (queue depth, inter-arrival) use exact stats::Percentiles.
+/// from a log-bucketed common::Histogram (±2% on percentiles); the
+/// per-dispatch and per-queue samples (seek distance, inter-arrival, queue
+/// depth) use exact stats::Percentiles.
 struct DistSummary {
   uint64_t count = 0;
   double mean = 0;
