@@ -84,29 +84,19 @@ CellResult RunCell(const core::BenchOptions& options,
         std::make_unique<faults::FaultInjector>(&cluster, &dfs, &engine);
   }
 
-  std::shared_ptr<obs::MetricsRegistry> metrics;
-  std::shared_ptr<obs::TraceSession> trace;
-  std::shared_ptr<obs::BlktraceSession> blktrace;
+  obs::MetricsRegistry* metrics = nullptr;
   if (obs_out) {
-    metrics = std::make_shared<obs::MetricsRegistry>();
-    if (!options.trace_out.empty()) {
-      trace = std::make_shared<obs::TraceSession>(&sim);
-    }
-    cluster.AttachObs(trace.get(), metrics.get());
-    dfs.AttachObs(trace.get(), metrics.get());
-    engine.AttachObs(trace.get(), metrics.get());
-    if (injector) injector->AttachObs(trace.get(), metrics.get());
-    if (!options.blktrace_out.empty()) {
-      blktrace = std::make_shared<obs::BlktraceSession>(&sim);
-      blktrace->AttachMetrics(metrics.get());
-      cluster.AttachBlktrace(blktrace.get());
-    }
+    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
+    metrics = obs_out->metrics.get();
+    dfs.AttachObs(obs_out->trace.get(), metrics);
+    engine.AttachObs(obs_out->trace.get(), metrics);
+    if (injector) injector->AttachObs(obs_out->trace.get(), metrics);
   }
 
   // BDIO_CHECK_INVARIANTS=1 audits every layer as the chaos runs; checks
   // are read-only so the figure stays byte-identical either way.
   const auto checker = invariants::MaybeAttachFromEnv(
-      &sim, &cluster, &dfs, &engine, metrics.get());
+      &sim, &cluster, &dfs, &engine, metrics);
 
   mapreduce::SimJobSpec spec = workload.jobs[0].spec;
   spec.output_path += "-" + scenario.label;
@@ -133,11 +123,6 @@ CellResult RunCell(const core::BenchOptions& options,
   result.speculative_killed = engine.speculative_killed();
   result.speculative_wasted_bytes = engine.speculative_wasted_bytes();
   if (injector) result.faults_injected = injector->injected();
-  if (obs_out) {
-    obs_out->metrics = std::move(metrics);
-    obs_out->trace = std::move(trace);
-    obs_out->blktrace = std::move(blktrace);
-  }
   return result;
 }
 
@@ -210,9 +195,7 @@ int main(int argc, char** argv) {
     return scenarios;
   };
 
-  const bool want_obs = !options.trace_out.empty() ||
-                        !options.metrics_out.empty() ||
-                        !options.blktrace_out.empty();
+  const bool want_obs = bench::WantsObs(options);
   core::ExperimentResult obs_holder;
   obs_holder.label = "TS_kill_dn3";
 

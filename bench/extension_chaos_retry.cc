@@ -298,6 +298,14 @@ PolicyCell RunRetryPolicy(const core::BenchOptions& options,
 int main(int argc, char** argv) {
   using namespace bdio;
   const core::BenchOptions options = core::BenchOptions::Parse(argc, argv);
+  // No cell of this matrix is observed, so an artifact flag is refused
+  // rather than ignored.
+  if (bench::WantsObs(options)) {
+    std::fprintf(stderr,
+                 "extension_chaos_retry: --trace-out, --metrics-out and "
+                 "--blktrace-out are not supported\n");
+    return 2;
+  }
   core::PrintFigureHeader(
       "Extension",
       "Chaos-retry matrix: task retries, blacklisting, dag degradation",

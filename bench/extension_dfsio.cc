@@ -27,17 +27,9 @@ workloads::DfsioResult Run(const core::BenchOptions& options,
                            rng.Fork());
   hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
 
-  // When this run is the observed one, attach a registry (and a trace if
-  // requested) exactly like core::RunExperiment does.
-  std::shared_ptr<obs::MetricsRegistry> metrics;
-  std::shared_ptr<obs::TraceSession> trace;
   if (obs_out) {
-    metrics = std::make_shared<obs::MetricsRegistry>();
-    if (!options.trace_out.empty()) {
-      trace = std::make_shared<obs::TraceSession>(&sim);
-    }
-    cluster.AttachObs(trace.get(), metrics.get());
-    dfs.AttachObs(trace.get(), metrics.get());
+    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
+    dfs.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
   }
 
   workloads::DfsioSpec spec;
@@ -51,10 +43,6 @@ workloads::DfsioResult Run(const core::BenchOptions& options,
                       });
   sim.Run();
   BDIO_CHECK(result.ok()) << result.status().ToString();
-  if (obs_out) {
-    obs_out->metrics = std::move(metrics);
-    obs_out->trace = std::move(trace);
-  }
   return result.value();
 }
 
@@ -78,9 +66,8 @@ int main(int argc, char** argv) {
 
   TextTable table;
   table.SetHeader({"files", "MB/file", "repl", "write MB/s", "read MB/s"});
-  const bool want_obs =
-      !options.trace_out.empty() || !options.metrics_out.empty();
-  core::ExperimentResult obs_holder;  // only label/metrics/trace are used
+  const bool want_obs = bench::WantsObs(options);
+  core::ExperimentResult obs_holder;  // only label and the sinks are used
   obs_holder.label = "dfsio_1x256MB_r3";
   std::vector<workloads::DfsioResult> results;
   std::vector<Config> cfgs;

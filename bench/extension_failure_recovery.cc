@@ -49,19 +49,11 @@ RunResult RunTeraSort(const core::BenchOptions& options,
                              mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
   faults::FaultInjector injector(&cluster, &dfs, &engine);
 
-  // When this run is the observed one, attach a registry (and a trace if
-  // requested) exactly like core::RunExperiment does.
-  std::shared_ptr<obs::MetricsRegistry> metrics;
-  std::shared_ptr<obs::TraceSession> trace;
   if (obs_out) {
-    metrics = std::make_shared<obs::MetricsRegistry>();
-    if (!options.trace_out.empty()) {
-      trace = std::make_shared<obs::TraceSession>(&sim);
-    }
-    cluster.AttachObs(trace.get(), metrics.get());
-    dfs.AttachObs(trace.get(), metrics.get());
-    engine.AttachObs(trace.get(), metrics.get());
-    injector.AttachObs(trace.get(), metrics.get());
+    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
+    dfs.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
+    engine.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
+    injector.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
   }
 
   RunResult result;
@@ -78,10 +70,6 @@ RunResult RunTeraSort(const core::BenchOptions& options,
   result.duration_s = result.counters.DurationSeconds();
   result.rereplicated_blocks = dfs.rereplicated_blocks();
   result.rereplicated_bytes = dfs.rereplicated_bytes();
-  if (obs_out) {
-    obs_out->metrics = std::move(metrics);
-    obs_out->trace = std::move(trace);
-  }
   return result;
 }
 
@@ -96,9 +84,8 @@ int main(int argc, char** argv) {
   // The observed run is the early-failure one: its trace shows the killed
   // node's spans close out, the re-executed maps appear elsewhere, and the
   // hdfs.rereplication.* counters tick as the DataNode's blocks re-home.
-  const bool want_obs =
-      !options.trace_out.empty() || !options.metrics_out.empty();
-  core::ExperimentResult obs_holder;  // only label/metrics/trace are used
+  const bool want_obs = bench::WantsObs(options);
+  core::ExperimentResult obs_holder;  // only label and the sinks are used
   obs_holder.label = "TS_fail_at_25pct";
   const RunResult healthy = RunTeraSort(options, faults::FaultPlan{});
   const auto plan_at = [&](double fraction) {

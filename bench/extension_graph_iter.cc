@@ -151,24 +151,20 @@ GraphCell RunSolo(const core::BenchOptions& options,
   mapreduce::MrEngine engine(&cluster, &dfs,
                              mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
 
-  std::shared_ptr<obs::MetricsRegistry> metrics;
-  std::shared_ptr<obs::TraceSession> trace;
+  obs::MetricsRegistry* metrics = nullptr;
   if (obs_out != nullptr) {
-    metrics = std::make_shared<obs::MetricsRegistry>();
-    if (!options.trace_out.empty()) {
-      trace = std::make_shared<obs::TraceSession>(&sim);
-    }
-    cluster.AttachObs(trace.get(), metrics.get());
-    dfs.AttachObs(trace.get(), metrics.get());
-    engine.AttachObs(trace.get(), metrics.get());
+    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
+    metrics = obs_out->metrics.get();
+    dfs.AttachObs(obs_out->trace.get(), metrics);
+    engine.AttachObs(obs_out->trace.get(), metrics);
   }
 
   // The dag outlives the checker (reverse destruction order): the checker's
   // detach-time final audit must still see a live dag.
   dag::JobDag jobdag(&sim, &engine, &dfs, std::move(plan.dag));
-  jobdag.AttachObs(metrics.get());
+  jobdag.AttachObs(metrics);
   const auto checker = invariants::MaybeAttachFromEnv(
-      &sim, &cluster, &dfs, &engine, metrics.get());
+      &sim, &cluster, &dfs, &engine, metrics);
   if (checker != nullptr) checker->WatchDag(&jobdag);
 
   bool done = false;
@@ -242,10 +238,6 @@ GraphCell RunSolo(const core::BenchOptions& options,
         BytesUnder(&dfs, out_root + "/round" + std::to_string(r)) == 0;
   }
 
-  if (obs_out != nullptr) {
-    obs_out->metrics = std::move(metrics);
-    obs_out->trace = std::move(trace);
-  }
   return cell;
 }
 
@@ -387,8 +379,7 @@ int main(int argc, char** argv) {
   // Cells run concurrently (each its own Simulator); results are consumed in
   // fixed print order, so stdout is byte-identical across --jobs levels.
   core::runner::ThreadPool pool(options.ResolvedJobs());
-  const bool want_obs =
-      !options.trace_out.empty() || !options.metrics_out.empty();
+  const bool want_obs = bench::WantsObs(options);
   core::ExperimentResult obs_holder;
   obs_holder.label = "SSSP_solo";
 

@@ -87,16 +87,10 @@ CellResult RunCell(const core::BenchOptions& options,
   BDIO_CHECK(policy_impl != nullptr) << "unknown policy " << policy;
   engine.SetScheduler(policy_impl.get());
 
-  std::shared_ptr<obs::MetricsRegistry> metrics;
-  std::shared_ptr<obs::TraceSession> trace;
   if (obs_out) {
-    metrics = std::make_shared<obs::MetricsRegistry>();
-    if (!options.trace_out.empty()) {
-      trace = std::make_shared<obs::TraceSession>(&sim);
-    }
-    cluster.AttachObs(trace.get(), metrics.get());
-    dfs.AttachObs(trace.get(), metrics.get());
-    engine.AttachObs(trace.get(), metrics.get());
+    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
+    dfs.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
+    engine.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
   }
 
   std::vector<mapreduce::JobCounters> counters(stream.size());
@@ -134,10 +128,6 @@ CellResult RunCell(const core::BenchOptions& options,
       monitor.GroupActiveMean("hdfs", iostat::Metric::kAwait).ActiveMean();
   result.mr_await =
       monitor.GroupActiveMean("mr", iostat::Metric::kAwait).ActiveMean();
-  if (obs_out) {
-    obs_out->metrics = std::move(metrics);
-    obs_out->trace = std::move(trace);
-  }
   return result;
 }
 
@@ -264,8 +254,7 @@ int main(int argc, char** argv) {
   // consumed in fixed print order, so stdout is byte-identical across
   // --jobs levels and repeated runs with the same seed.
   core::runner::ThreadPool pool(options.ResolvedJobs());
-  const bool want_obs =
-      !options.trace_out.empty() || !options.metrics_out.empty();
+  const bool want_obs = bench::WantsObs(options);
   core::ExperimentResult obs_holder;
   obs_holder.label =
       policies.front() + "_c" + std::to_string(cmax);

@@ -2,6 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+
+#include "obs/blktrace.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace bdio::bench {
 
@@ -28,6 +33,25 @@ cluster::ClusterParams MakeScaledClusterParams(
       static_cast<uint64_t>(static_cast<double>(MiB(200)) * options.scale);
   cp.node.min_cache_bytes = MiB(16);
   return cp;
+}
+
+bool WantsObs(const core::BenchOptions& options) {
+  return !options.trace_out.empty() || !options.metrics_out.empty() ||
+         !options.blktrace_out.empty();
+}
+
+void AttachObsSinks(const core::BenchOptions& options, sim::Simulator* sim,
+                    cluster::Cluster* cluster, core::ExperimentResult* out) {
+  out->metrics = std::make_shared<obs::MetricsRegistry>();
+  if (!options.trace_out.empty()) {
+    out->trace = std::make_shared<obs::TraceSession>(sim);
+  }
+  cluster->AttachObs(out->trace.get(), out->metrics.get());
+  if (!options.blktrace_out.empty()) {
+    out->blktrace = std::make_shared<obs::BlktraceSession>(sim);
+    out->blktrace->AttachMetrics(out->metrics.get());
+    cluster->AttachBlktrace(out->blktrace.get());
+  }
 }
 
 }  // namespace bdio::bench

@@ -22,6 +22,19 @@ void PreloadOrExit(hdfs::Hdfs* dfs, const std::string& path, uint64_t bytes);
 cluster::ClusterParams MakeScaledClusterParams(
     const core::BenchOptions& options);
 
+/// True when an artifact flag (--trace-out, --metrics-out, --blktrace-out)
+/// is set: the bench then observes one run and ends with
+/// core::WriteObsArtifacts, which writes what each flag asks for.
+bool WantsObs(const core::BenchOptions& options);
+
+/// Gives the observed run the sinks core::RunExperiment gives an observed
+/// cell: a metrics registry, a span trace when --trace-out is set and a
+/// block trace of every disk when --blktrace-out is set. All three land in
+/// `out` and are attached to `cluster`; the caller attaches out->trace and
+/// out->metrics to its other components.
+void AttachObsSinks(const core::BenchOptions& options, sim::Simulator* sim,
+                    cluster::Cluster* cluster, core::ExperimentResult* out);
+
 }  // namespace bdio::bench
 
 #endif  // BDIO_BENCH_FIGURE_COMMON_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <utility>
 
@@ -38,10 +39,12 @@ void Network::AttachObs(obs::TraceSession* trace,
     m_tx_bytes_[n] = metrics->GetCounter("net.link_tx_bytes", labels);
     m_rx_bytes_[n] = metrics->GetCounter("net.link_rx_bytes", labels);
   }
+  m_rate_recomputes_ = metrics->GetCounter("net.rate_recomputes");
+  m_water_fill_rounds_ = metrics->GetCounter("net.water_fill_rounds");
 }
 
 void Network::Transfer(uint32_t src, uint32_t dst, uint64_t bytes,
-                       std::function<void()> cb) {
+                       InlineFn cb) {
   BDIO_CHECK(src < num_nodes_ && dst < num_nodes_);
   node_stats_[src].bytes_sent += bytes;
   node_stats_[dst].bytes_received += bytes;
@@ -59,7 +62,7 @@ void Network::Transfer(uint32_t src, uint32_t dst, uint64_t bytes,
             std::to_string(dst) + ",\"bytes\":" + std::to_string(bytes) +
             "}");
     trace_->FlowStep(trace_->current_flow(), src + 1);
-    cb = [trace = trace_, span, inner = std::move(cb)] {
+    cb = [trace = trace_, span, inner = std::move(cb)]() mutable {
       trace->EndSpan(span);
       if (inner) inner();
     };
@@ -69,20 +72,19 @@ void Network::Transfer(uint32_t src, uint32_t dst, uint64_t bytes,
     return;
   }
   AdvanceTo(sim_->Now());
-  Flow flow;
+  Flow& flow = flows_.emplace_back();
   flow.src = src;
   flow.dst = dst;
   flow.remaining = static_cast<double>(bytes);
   flow.cb = std::move(cb);
-  flows_.emplace(next_flow_id_++, std::move(flow));
-  Reschedule();
+  OnChange();
 }
 
 void Network::AdvanceTo(SimTime now) {
   BDIO_CHECK(now >= last_advance_);
   const double dt = ToSeconds(now - last_advance_);
   if (dt > 0) {
-    for (auto& [id, f] : flows_) {
+    for (Flow& f : flows_) {
       f.remaining = std::max(0.0, f.remaining - f.rate * dt);
     }
   }
@@ -99,94 +101,115 @@ void Network::SetNodeLinkFactor(uint32_t node, double factor) {
   link_factor_[node] = factor;
   // Re-split capacity among in-flight flows at the new rate.
   AdvanceTo(sim_->Now());
-  Reschedule();
+  OnChange();
+}
+
+std::vector<Network::FlowRate> Network::FlowRates() const {
+  std::vector<FlowRate> out;
+  out.reserve(flows_.size());
+  for (const Flow& f : flows_) out.push_back({f.src, f.dst, f.rate});
+  return out;
+}
+
+void Network::OnChange() {
+  // Retire flows that are already done (sub-byte residue => done).
+  size_t kept = 0;
+  for (size_t i = 0; i < flows_.size(); ++i) {
+    Flow& f = flows_[i];
+    if (f.remaining <= 0.5) {
+      if (f.cb) sim_->ScheduleAfter(SimDuration{}, std::move(f.cb));
+    } else {
+      if (kept != i) flows_[kept] = std::move(f);
+      ++kept;
+    }
+  }
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept),
+               flows_.end());
+  ++generation_;  // the pending completion wake-up is stale now
+  if (flows_.empty() || recompute_pending_) return;
+  recompute_pending_ = true;
+  sim_->ScheduleAfter(SimDuration{}, [this] { Recompute(); });
+}
+
+void Network::Recompute() {
+  recompute_pending_ = false;
+  if (flows_.empty()) return;
+  ComputeRates();
+  // Next completion.
+  double min_time = std::numeric_limits<double>::infinity();
+  for (const Flow& f : flows_) {
+    BDIO_CHECK(f.rate > 0);
+    min_time = std::min(min_time, f.remaining / f.rate);
+  }
+  const uint64_t gen = generation_;
+  const SimDuration dt = FromSeconds(min_time) + kFlowSetupLatency;
+  sim_->ScheduleAfter(dt, [this, gen] {
+    if (gen != generation_) return;  // superseded by a later change
+    AdvanceTo(sim_->Now());
+    OnChange();
+  });
 }
 
 void Network::ComputeRates() {
   // Max-min fair water-filling over per-node egress/ingress capacities.
-  std::vector<double> egress(num_nodes_, link_rate_);
-  std::vector<double> ingress(num_nodes_, link_rate_);
+  ++rate_recomputes_;
+  egress_.assign(num_nodes_, link_rate_);
+  ingress_.assign(num_nodes_, link_rate_);
   if (!link_factor_.empty()) {
     for (uint32_t n = 0; n < num_nodes_; ++n) {
-      egress[n] = link_rate_ * link_factor_[n];
-      ingress[n] = link_rate_ * link_factor_[n];
+      egress_[n] = link_rate_ * link_factor_[n];
+      ingress_[n] = link_rate_ * link_factor_[n];
     }
   }
-  std::vector<uint32_t> egress_count(num_nodes_, 0);
-  std::vector<uint32_t> ingress_count(num_nodes_, 0);
-  for (auto& [id, f] : flows_) {
-    f.rate = -1;  // unfixed
-    ++egress_count[f.src];
-    ++ingress_count[f.dst];
+  egress_count_.assign(num_nodes_, 0);
+  ingress_count_.assign(num_nodes_, 0);
+  unfixed_.resize(flows_.size());
+  for (uint32_t i = 0; i < flows_.size(); ++i) {
+    ++egress_count_[flows_[i].src];
+    ++ingress_count_[flows_[i].dst];
+    unfixed_[i] = i;
   }
-  size_t unfixed = flows_.size();
-  while (unfixed > 0) {
+  uint64_t rounds = 0;
+  while (!unfixed_.empty()) {
+    ++rounds;
     // Find the tightest constraint among nodes with unfixed flows.
     double best_share = std::numeric_limits<double>::infinity();
     for (uint32_t n = 0; n < num_nodes_; ++n) {
-      if (egress_count[n] > 0) {
-        best_share = std::min(best_share, egress[n] / egress_count[n]);
+      if (egress_count_[n] > 0) {
+        best_share = std::min(best_share, egress_[n] / egress_count_[n]);
       }
-      if (ingress_count[n] > 0) {
-        best_share = std::min(best_share, ingress[n] / ingress_count[n]);
+      if (ingress_count_[n] > 0) {
+        best_share = std::min(best_share, ingress_[n] / ingress_count_[n]);
       }
     }
     BDIO_CHECK(std::isfinite(best_share));
-    // Fix every unfixed flow passing through a bottleneck at best_share.
-    bool fixed_any = false;
-    for (auto& [id, f] : flows_) {
-      if (f.rate >= 0) continue;
-      const bool src_bottleneck =
-          egress_count[f.src] > 0 &&
-          egress[f.src] / egress_count[f.src] <= best_share * (1 + 1e-9);
-      const bool dst_bottleneck =
-          ingress_count[f.dst] > 0 &&
-          ingress[f.dst] / ingress_count[f.dst] <= best_share * (1 + 1e-9);
-      if (!src_bottleneck && !dst_bottleneck) continue;
+    // Fix every unfixed flow passing through a bottleneck at best_share,
+    // in start order; the rest stay in `unfixed_`, still in start order.
+    // An unfixed flow counts at both its nodes, so neither count is 0.
+    const double limit = best_share * (1 + 1e-9);
+    size_t kept = 0;
+    for (const uint32_t i : unfixed_) {
+      Flow& f = flows_[i];
+      if (egress_[f.src] / egress_count_[f.src] > limit &&
+          ingress_[f.dst] / ingress_count_[f.dst] > limit) {
+        unfixed_[kept++] = i;
+        continue;
+      }
       f.rate = best_share;
-      egress[f.src] -= best_share;
-      ingress[f.dst] -= best_share;
-      --egress_count[f.src];
-      --ingress_count[f.dst];
-      --unfixed;
-      fixed_any = true;
+      egress_[f.src] -= best_share;
+      ingress_[f.dst] -= best_share;
+      --egress_count_[f.src];
+      --ingress_count_[f.dst];
     }
-    BDIO_CHECK(fixed_any) << "water-filling failed to make progress";
+    BDIO_CHECK(kept < unfixed_.size())
+        << "water-filling failed to make progress";
+    unfixed_.resize(kept);
   }
-}
-
-void Network::Reschedule() {
-  ComputeRates();
-  // Retire flows that are already done.
-  std::vector<std::function<void()>> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second.remaining <= 0.5) {  // sub-byte residue => done
-      done.push_back(std::move(it->second.cb));
-      it = flows_.erase(it);
-    } else {
-      ++it;
-    }
+  water_fill_rounds_ += rounds;
+  if (m_rate_recomputes_ != nullptr) {
+    m_rate_recomputes_->Inc();
+    m_water_fill_rounds_->Add(rounds);
   }
-  if (!done.empty()) {
-    for (auto& cb : done) {
-      if (cb) sim_->ScheduleAfter(SimDuration{}, std::move(cb));
-    }
-    if (!flows_.empty()) ComputeRates();  // allocation changed
-  }
-  if (flows_.empty()) return;
-  // Next completion.
-  double min_time = std::numeric_limits<double>::infinity();
-  for (auto& [id, f] : flows_) {
-    BDIO_CHECK(f.rate > 0);
-    min_time = std::min(min_time, f.remaining / f.rate);
-  }
-  const uint64_t gen = ++generation_;
-  const SimDuration dt = FromSeconds(min_time) + kFlowSetupLatency;
-  sim_->ScheduleAfter(dt, [this, gen] {
-    if (gen != generation_) return;  // superseded by a newer event
-    AdvanceTo(sim_->Now());
-    Reschedule();
-  });
 }
 
 }  // namespace bdio::net
