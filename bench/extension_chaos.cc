@@ -14,21 +14,17 @@
 #include <cstdio>
 #include <future>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/figure_common.h"
-#include "check/invariants.h"
-#include "cluster/cluster.h"
 #include "common/table.h"
 #include "core/runner/thread_pool.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "hdfs/hdfs.h"
 #include "mapreduce/engine.h"
-#include "sim/simulator.h"
 #include "workloads/profile.h"
 
 namespace {
@@ -63,40 +59,17 @@ struct CellResult {
 CellResult RunCell(const core::BenchOptions& options,
                    workloads::WorkloadKind kind, const Scenario& scenario,
                    core::ExperimentResult* obs_out = nullptr) {
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
-
-  workloads::PlanOptions plan_options;
-  plan_options.scale = options.scale;
-  plan_options.compress_intermediate = true;
-  const auto workload = workloads::BuildPlan(kind, plan_options);
-  bench::PreloadOrExit(&dfs, workload.dataset_path, workload.dataset_bytes);
-
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (scenario.use_injector) {
-    injector =
-        std::make_unique<faults::FaultInjector>(&cluster, &dfs, &engine);
-  }
-
-  obs::MetricsRegistry* metrics = nullptr;
-  if (obs_out) {
-    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
-    metrics = obs_out->metrics.get();
-    dfs.AttachObs(obs_out->trace.get(), metrics);
-    engine.AttachObs(obs_out->trace.get(), metrics);
-    if (injector) injector->AttachObs(obs_out->trace.get(), metrics);
-  }
-
+  core::TestbedSpec bed_spec =
+      bench::MakeTestbedSpec(options, obs_out != nullptr);
+  bed_spec.faults = scenario.use_injector;
   // BDIO_CHECK_INVARIANTS=1 audits every layer as the chaos runs; checks
   // are read-only so the figure stays byte-identical either way.
-  const auto checker = invariants::MaybeAttachFromEnv(
-      &sim, &cluster, &dfs, &engine, metrics);
+  core::Testbed bed(bed_spec, Rng(options.seed));
+  if (obs_out) bed.ExportObs(obs_out);
+  faults::FaultInjector* injector = bed.injector();
+
+  const auto workload = bench::CompressedPlan(options, kind);
+  bench::PreloadOrExit(&bed, workload.dataset_path, workload.dataset_bytes);
 
   mapreduce::SimJobSpec spec = workload.jobs[0].spec;
   spec.output_path += "-" + scenario.label;
@@ -104,24 +77,24 @@ CellResult RunCell(const core::BenchOptions& options,
 
   CellResult result;
   bool done = false;
-  engine.RunJob(spec, [&](Status s, const mapreduce::JobCounters& c) {
+  bed.engine().RunJob(spec, [&](Status s, const mapreduce::JobCounters& c) {
     BDIO_CHECK_OK(s);
     result.counters = c;
     done = true;
   });
   if (injector) BDIO_CHECK_OK(injector->Arm(scenario.plan));
-  sim.Run();
+  bed.sim().Run();
   BDIO_CHECK(done);
   result.duration_s = result.counters.DurationSeconds();
-  result.rereplicated_blocks = dfs.rereplicated_blocks();
-  result.rereplicated_bytes = dfs.rereplicated_bytes();
-  result.checksum_failures = dfs.checksum_failures();
-  result.read_failovers = dfs.read_failovers();
-  result.pipeline_recoveries = dfs.pipeline_recoveries();
-  result.unrecoverable_blocks = dfs.unrecoverable_blocks();
-  result.speculative_launched = engine.speculative_launched();
-  result.speculative_killed = engine.speculative_killed();
-  result.speculative_wasted_bytes = engine.speculative_wasted_bytes();
+  result.rereplicated_blocks = bed.hdfs().rereplicated_blocks();
+  result.rereplicated_bytes = bed.hdfs().rereplicated_bytes();
+  result.checksum_failures = bed.hdfs().checksum_failures();
+  result.read_failovers = bed.hdfs().read_failovers();
+  result.pipeline_recoveries = bed.hdfs().pipeline_recoveries();
+  result.unrecoverable_blocks = bed.hdfs().unrecoverable_blocks();
+  result.speculative_launched = bed.engine().speculative_launched();
+  result.speculative_killed = bed.engine().speculative_killed();
+  result.speculative_wasted_bytes = bed.engine().speculative_wasted_bytes();
   if (injector) result.faults_injected = injector->injected();
   return result;
 }
@@ -139,9 +112,6 @@ int main(int argc, char** argv) {
       workloads::WorkloadKind::kTeraSort,
       workloads::WorkloadKind::kAggregation,
   };
-  workloads::PlanOptions plan_options;
-  plan_options.scale = options.scale;
-  plan_options.compress_intermediate = true;
 
   core::runner::ThreadPool pool(options.ResolvedJobs());
 
@@ -161,7 +131,7 @@ int main(int argc, char** argv) {
   // workload-major order.
   auto scenarios_for = [&](workloads::WorkloadKind kind,
                            const CellResult& base) {
-    const auto plan = workloads::BuildPlan(kind, plan_options);
+    const auto plan = bench::CompressedPlan(options, kind);
     const uint64_t block_bytes = hdfs::HdfsParams{}.block_bytes.bytes();
     const uint32_t num_blocks = static_cast<uint32_t>(
         (plan.dataset_bytes + block_bytes - 1) / block_bytes);
@@ -223,7 +193,7 @@ int main(int argc, char** argv) {
                    "spec wasted MB"});
   std::map<std::string, CellResult> cells;  // "<workload>/<scenario>"
   for (size_t k = 0; k < kinds.size(); ++k) {
-    const auto plan = workloads::BuildPlan(kinds[k], plan_options);
+    const auto plan = bench::CompressedPlan(options, kinds[k]);
     auto row = [&](const std::string& label, const CellResult& r) {
       cells[plan.jobs[0].spec.name + "/" + label] = r;
       table.AddRow(
@@ -251,7 +221,7 @@ int main(int argc, char** argv) {
   std::vector<core::ShapeCheck> checks;
   for (size_t k = 0; k < kinds.size(); ++k) {
     const std::string w =
-        workloads::BuildPlan(kinds[k], plan_options).jobs[0].spec.name;
+        bench::CompressedPlan(options, kinds[k]).jobs[0].spec.name;
     const CellResult& base = cells[w + "/healthy"];
     const CellResult& empty = cells[w + "/empty-plan"];
     const CellResult& kill = cells[w + "/kill-dn3"];

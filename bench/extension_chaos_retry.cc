@@ -18,22 +18,17 @@
 
 #include <cstdio>
 #include <future>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/figure_common.h"
-#include "check/invariants.h"
-#include "cluster/cluster.h"
 #include "common/table.h"
 #include "core/runner/thread_pool.h"
 #include "dag/job_dag.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
-#include "hdfs/hdfs.h"
 #include "mapreduce/engine.h"
-#include "sim/simulator.h"
 #include "workloads/graph_profile.h"
 #include "workloads/profile.h"
 
@@ -67,34 +62,23 @@ struct TsCell {
 };
 
 TsCell RunTeraSort(const core::BenchOptions& options,
-                   const TsScenario& scenario, double healthy_s) {
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
+                   const TsScenario& scenario, double healthy_s,
+                   core::ExperimentResult* obs_out = nullptr) {
+  core::TestbedSpec bed_spec =
+      bench::MakeTestbedSpec(options, obs_out != nullptr);
+  bed_spec.faults = scenario.use_injector;
+  core::Testbed bed(bed_spec, Rng(options.seed));
+  if (obs_out) bed.ExportObs(obs_out);
+  mapreduce::MrEngine& engine = bed.engine();
+  faults::FaultInjector* injector = bed.injector();
 
-  workloads::PlanOptions plan_options;
-  plan_options.scale = options.scale;
-  plan_options.compress_intermediate = true;
   const auto workload =
-      workloads::BuildPlan(workloads::WorkloadKind::kTeraSort, plan_options);
-  bench::PreloadOrExit(&dfs, workload.dataset_path, workload.dataset_bytes);
+      bench::CompressedPlan(options, workloads::WorkloadKind::kTeraSort);
+  bench::PreloadOrExit(&bed, workload.dataset_path, workload.dataset_bytes);
 
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
   mapreduce::FaultToleranceConfig ft;
   ft.blacklist_strikes = scenario.blacklist ? 3 : UINT32_MAX;
   engine.SetFaultTolerance(ft);
-
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (scenario.use_injector) {
-    injector =
-        std::make_unique<faults::FaultInjector>(&cluster, &dfs, &engine);
-  }
-  const auto checker =
-      invariants::MaybeAttachFromEnv(&sim, &cluster, &dfs, &engine, nullptr);
 
   mapreduce::SimJobSpec spec = workload.jobs[0].spec;
   spec.output_path += "-" + scenario.label;
@@ -115,7 +99,7 @@ TsCell RunTeraSort(const core::BenchOptions& options,
   } else if (injector) {
     BDIO_CHECK_OK(injector->Arm(faults::FaultPlan{}));
   }
-  sim.Run();
+  bed.sim().Run();
   BDIO_CHECK(done);
   cell.duration_s = cell.counters.DurationSeconds();
   cell.nodes_blacklisted = engine.nodes_blacklisted();
@@ -147,21 +131,12 @@ DagCell RunSssp(const core::BenchOptions& options, bool faulted,
   workloads::GraphDagPlan plan =
       workloads::BuildGraphDag(workloads::GraphWorkload::kSssp, plan_options);
 
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
-  bench::PreloadOrExit(&dfs, plan.dataset_path, plan.dataset_bytes);
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
-  faults::FaultInjector injector(&cluster, &dfs, &engine);
-
-  dag::JobDag jobdag(&sim, &engine, &dfs, std::move(plan.dag));
-  const auto checker =
-      invariants::MaybeAttachFromEnv(&sim, &cluster, &dfs, &engine, nullptr);
-  if (checker != nullptr) checker->WatchDag(&jobdag);
+  core::TestbedSpec bed_spec = bench::MakeTestbedSpec(options);
+  bed_spec.faults = true;
+  core::Testbed bed(bed_spec, Rng(options.seed));
+  bench::PreloadOrExit(&bed, plan.dataset_path, plan.dataset_bytes);
+  mapreduce::MrEngine& engine = bed.engine();
+  dag::JobDag& jobdag = bed.AddDag(std::move(plan.dag));
 
   DagCell cell;
   bool done = false;
@@ -173,8 +148,8 @@ DagCell RunSssp(const core::BenchOptions& options, bool faulted,
   if (faulted) {
     fault_plan.KillTaskTracker(3, TimeAt(FromSeconds(healthy_s * kill_frac)));
   }
-  BDIO_CHECK_OK(injector.Arm(fault_plan));
-  sim.Run();
+  BDIO_CHECK_OK(bed.injector()->Arm(fault_plan));
+  bed.sim().Run();
   BDIO_CHECK(done);
   for (const dag::NodeRecord& node : jobdag.node_records()) {
     cell.makespan_s =
@@ -217,21 +192,11 @@ struct PolicyCell {
 PolicyCell RunRetryPolicy(const core::BenchOptions& options,
                           const std::string& label, uint32_t max_node_retries,
                           dag::RetryPolicy::OnExhausted on_exhausted) {
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
+  core::Testbed bed(bench::MakeTestbedSpec(options), Rng(options.seed));
 
-  workloads::PlanOptions plan_options;
-  plan_options.scale = options.scale;
-  plan_options.compress_intermediate = true;
   const auto workload =
-      workloads::BuildPlan(workloads::WorkloadKind::kTeraSort, plan_options);
-  bench::PreloadOrExit(&dfs, workload.dataset_path, workload.dataset_bytes);
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
+      bench::CompressedPlan(options, workloads::WorkloadKind::kTeraSort);
+  bench::PreloadOrExit(&bed, workload.dataset_path, workload.dataset_bytes);
 
   const std::string root = "/out/retry-policy-" + label;
   dag::DagSpec spec;
@@ -261,10 +226,7 @@ PolicyCell RunRetryPolicy(const core::BenchOptions& options,
   d.deps = {0};
   spec.nodes = {std::move(a), std::move(b), std::move(c), std::move(d)};
 
-  dag::JobDag jobdag(&sim, &engine, &dfs, std::move(spec));
-  const auto checker =
-      invariants::MaybeAttachFromEnv(&sim, &cluster, &dfs, &engine, nullptr);
-  if (checker != nullptr) checker->WatchDag(&jobdag);
+  dag::JobDag& jobdag = bed.AddDag(std::move(spec));
 
   PolicyCell cell;
   bool done = false;
@@ -273,7 +235,7 @@ PolicyCell RunRetryPolicy(const core::BenchOptions& options,
     cell.ok = s.ok();
     done = true;
   });
-  sim.Run();
+  bed.sim().Run();
   BDIO_CHECK(done);
   cell.degraded = jobdag.degraded();
   cell.completed = jobdag.nodes_completed();
@@ -298,14 +260,6 @@ PolicyCell RunRetryPolicy(const core::BenchOptions& options,
 int main(int argc, char** argv) {
   using namespace bdio;
   const core::BenchOptions options = core::BenchOptions::Parse(argc, argv);
-  // No cell of this matrix is observed, so an artifact flag is refused
-  // rather than ignored.
-  if (bench::WantsObs(options)) {
-    std::fprintf(stderr,
-                 "extension_chaos_retry: --trace-out, --metrics-out and "
-                 "--blktrace-out are not supported\n");
-    return 2;
-  }
   core::PrintFigureHeader(
       "Extension",
       "Chaos-retry matrix: task retries, blacklisting, dag degradation",
@@ -313,9 +267,15 @@ int main(int argc, char** argv) {
 
   core::runner::ThreadPool pool(options.ResolvedJobs());
 
+  // The observed run is the first cell, the healthy TeraSort baseline.
+  const bool want_obs = bench::WantsObs(options);
+  core::ExperimentResult obs_holder;  // only label and the sinks are used
+  obs_holder.label = "TS_healthy";
+
   // Phase 1: healthy baselines (fault times scale with the run length).
   std::future<TsCell> ts_healthy_future = pool.Async([&] {
-    return RunTeraSort(options, TsScenario{"healthy"}, 0);
+    return RunTeraSort(options, TsScenario{"healthy"}, 0,
+                       want_obs ? &obs_holder : nullptr);
   });
   std::future<DagCell> sssp_healthy_future =
       pool.Async([&] { return RunSssp(options, false, 0, 0); });
@@ -434,6 +394,10 @@ int main(int argc, char** argv) {
   rp_row("retry2-faildag", rp_retry);
   rp_row("retry2-skip", rp_skip);
   std::fputs(rp_table.ToString().c_str(), stdout);
+
+  if (want_obs) {
+    core::WriteObsArtifacts(options, {{obs_holder.label, &obs_holder}});
+  }
 
   std::vector<core::ShapeCheck> checks;
   const TsCell& ts_empty = ts_cells[0];

@@ -6,10 +6,7 @@
 #include <cstdio>
 
 #include "bench/figure_common.h"
-#include "cluster/cluster.h"
 #include "common/table.h"
-#include "hdfs/hdfs.h"
-#include "sim/simulator.h"
 #include "workloads/dfsio.h"
 
 namespace {
@@ -20,28 +17,20 @@ workloads::DfsioResult Run(const core::BenchOptions& options,
                            uint32_t files, uint64_t file_bytes,
                            uint32_t replication,
                            core::ExperimentResult* obs_out = nullptr) {
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
-
-  if (obs_out) {
-    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
-    dfs.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
-  }
+  core::Testbed bed(bench::MakeTestbedSpec(options, obs_out != nullptr),
+                    Rng(options.seed));
+  if (obs_out) bed.ExportObs(obs_out);
 
   workloads::DfsioSpec spec;
   spec.num_files = files;
   spec.file_bytes = file_bytes;
   spec.replication = replication;
   Result<workloads::DfsioResult> result = Status::Internal("not run");
-  workloads::RunDfsio(&cluster, &dfs, spec,
+  workloads::RunDfsio(&bed.cluster(), &bed.hdfs(), spec,
                       [&](Result<workloads::DfsioResult> r) {
                         result = std::move(r);
                       });
-  sim.Run();
+  bed.sim().Run();
   BDIO_CHECK(result.ok()) << result.status().ToString();
   return result.value();
 }

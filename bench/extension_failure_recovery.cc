@@ -8,13 +8,8 @@
 #include <cstdio>
 
 #include "bench/figure_common.h"
-#include "cluster/cluster.h"
 #include "common/table.h"
 #include "faults/fault_plan.h"
-#include "faults/injector.h"
-#include "hdfs/hdfs.h"
-#include "mapreduce/engine.h"
-#include "sim/simulator.h"
 #include "workloads/profile.h"
 
 namespace {
@@ -31,45 +26,29 @@ struct RunResult {
 RunResult RunTeraSort(const core::BenchOptions& options,
                       const faults::FaultPlan& plan,
                       core::ExperimentResult* obs_out = nullptr) {
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
+  core::TestbedSpec spec = bench::MakeTestbedSpec(options, obs_out != nullptr);
+  spec.faults = true;
+  core::Testbed bed(spec, Rng(options.seed));
+  if (obs_out) bed.ExportObs(obs_out);
 
-  workloads::PlanOptions plan_options;
-  plan_options.scale = options.scale;
-  plan_options.compress_intermediate = true;
   const auto workload =
-      workloads::BuildPlan(workloads::WorkloadKind::kTeraSort, plan_options);
-  bench::PreloadOrExit(&dfs, workload.dataset_path, workload.dataset_bytes);
-
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
-  faults::FaultInjector injector(&cluster, &dfs, &engine);
-
-  if (obs_out) {
-    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
-    dfs.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
-    engine.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
-    injector.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
-  }
+      bench::CompressedPlan(options, workloads::WorkloadKind::kTeraSort);
+  bench::PreloadOrExit(&bed, workload.dataset_path, workload.dataset_bytes);
 
   RunResult result;
   bool done = false;
-  engine.RunJob(workload.jobs[0].spec,
-                [&](Status s, const mapreduce::JobCounters& c) {
-                  BDIO_CHECK_OK(s);
-                  result.counters = c;
-                  done = true;
-                });
-  BDIO_CHECK_OK(injector.Arm(plan));
-  sim.Run();
+  bed.engine().RunJob(workload.jobs[0].spec,
+                      [&](Status s, const mapreduce::JobCounters& c) {
+                        BDIO_CHECK_OK(s);
+                        result.counters = c;
+                        done = true;
+                      });
+  BDIO_CHECK_OK(bed.injector()->Arm(plan));
+  bed.sim().Run();
   BDIO_CHECK(done);
   result.duration_s = result.counters.DurationSeconds();
-  result.rereplicated_blocks = dfs.rereplicated_blocks();
-  result.rereplicated_bytes = dfs.rereplicated_bytes();
+  result.rereplicated_blocks = bed.hdfs().rereplicated_blocks();
+  result.rereplicated_bytes = bed.hdfs().rereplicated_bytes();
   return result;
 }
 

@@ -22,16 +22,12 @@
 #include <vector>
 
 #include "bench/figure_common.h"
-#include "check/invariants.h"
-#include "cluster/cluster.h"
 #include "common/table.h"
 #include "core/runner/thread_pool.h"
 #include "dag/job_dag.h"
 #include "hdfs/hdfs.h"
 #include "iostat/iostat.h"
-#include "mapreduce/engine.h"
 #include "sched/scheduler.h"
-#include "sim/simulator.h"
 #include "workloads/datagen.h"
 #include "workloads/graph.h"
 #include "workloads/graph_profile.h"
@@ -129,43 +125,12 @@ GraphCell RunSolo(const core::BenchOptions& options,
   workloads::GraphDagPlan plan = workloads::BuildGraphDag(
       workload, MakePlanOptions(options, model_nodes, max_rounds));
 
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
-  bench::PreloadOrExit(&dfs, plan.dataset_path, plan.dataset_bytes);
-
-  iostat::Monitor monitor(&sim, Seconds(1));
-  for (uint32_t n = 0; n < cluster.num_workers(); ++n) {
-    for (uint32_t d = 0; d < cluster.node(n)->num_hdfs_disks(); ++d) {
-      monitor.AddDevice(cluster.node(n)->hdfs_disk(d), "hdfs");
-    }
-    for (uint32_t d = 0; d < cluster.node(n)->num_mr_disks(); ++d) {
-      monitor.AddDevice(cluster.node(n)->mr_disk(d), "mr");
-    }
-  }
-  monitor.Start();
-
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
-
-  obs::MetricsRegistry* metrics = nullptr;
-  if (obs_out != nullptr) {
-    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
-    metrics = obs_out->metrics.get();
-    dfs.AttachObs(obs_out->trace.get(), metrics);
-    engine.AttachObs(obs_out->trace.get(), metrics);
-  }
-
-  // The dag outlives the checker (reverse destruction order): the checker's
-  // detach-time final audit must still see a live dag.
-  dag::JobDag jobdag(&sim, &engine, &dfs, std::move(plan.dag));
-  jobdag.AttachObs(metrics);
-  const auto checker = invariants::MaybeAttachFromEnv(
-      &sim, &cluster, &dfs, &engine, metrics);
-  if (checker != nullptr) checker->WatchDag(&jobdag);
+  core::Testbed bed(bench::MakeTestbedSpec(options, obs_out != nullptr),
+                    Rng(options.seed));
+  if (obs_out != nullptr) bed.ExportObs(obs_out);
+  bench::PreloadOrExit(&bed, plan.dataset_path, plan.dataset_bytes);
+  iostat::Monitor& monitor = bed.MonitorDisks(Seconds(1));
+  dag::JobDag& jobdag = bed.AddDag(std::move(plan.dag));
 
   bool done = false;
   jobdag.Run([&](Status s) {
@@ -174,7 +139,7 @@ GraphCell RunSolo(const core::BenchOptions& options,
     monitor.Stop();
     done = true;
   });
-  sim.Run();
+  bed.sim().Run();
   BDIO_CHECK(done);
 
   GraphCell cell;
@@ -230,12 +195,13 @@ GraphCell RunSolo(const core::BenchOptions& options,
       (workload == workloads::GraphWorkload::kTriangleCount)
           ? out_root + "/triangles"
           : out_root + "/round" + std::to_string(rounds);
-  cell.final_bytes = BytesUnder(&dfs, final_path);
-  cell.intermediates_gone = BytesUnder(&dfs, out_root + "/prepared") == 0;
+  cell.final_bytes = BytesUnder(&bed.hdfs(), final_path);
+  cell.intermediates_gone =
+      BytesUnder(&bed.hdfs(), out_root + "/prepared") == 0;
   for (uint32_t r = 1; r < rounds; ++r) {
     cell.intermediates_gone =
         cell.intermediates_gone &&
-        BytesUnder(&dfs, out_root + "/round" + std::to_string(r)) == 0;
+        BytesUnder(&bed.hdfs(), out_root + "/round" + std::to_string(r)) == 0;
   }
 
   return cell;
@@ -253,42 +219,32 @@ CombinedCell RunCombined(const core::BenchOptions& options,
     plans.push_back(workloads::BuildGraphDag(workload, plan_options));
   }
 
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
-  for (const workloads::GraphDagPlan& plan : plans) {
-    bench::PreloadOrExit(&dfs, plan.dataset_path, plan.dataset_bytes);
-  }
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
+  // Declared before the testbed: the engine holds it to the end.
   const std::unique_ptr<sched::Scheduler> fair = sched::MakeScheduler("fair");
   BDIO_CHECK(fair != nullptr);
-  engine.SetScheduler(fair.get());
-
-  std::vector<std::unique_ptr<dag::JobDag>> dags;
-  for (workloads::GraphDagPlan& plan : plans) {
-    dags.push_back(std::make_unique<dag::JobDag>(&sim, &engine, &dfs,
-                                                 std::move(plan.dag)));
+  core::Testbed bed(bench::MakeTestbedSpec(options), Rng(options.seed));
+  for (const workloads::GraphDagPlan& plan : plans) {
+    bench::PreloadOrExit(&bed, plan.dataset_path, plan.dataset_bytes);
   }
-  const auto checker =
-      invariants::MaybeAttachFromEnv(&sim, &cluster, &dfs, &engine, nullptr);
-  if (checker != nullptr) checker->WatchDag(dags.front().get());
+  bed.engine().SetScheduler(fair.get());
+
+  std::vector<dag::JobDag*> dags;
+  for (workloads::GraphDagPlan& plan : plans) {
+    dags.push_back(&bed.AddDag(std::move(plan.dag)));
+  }
 
   uint32_t remaining = static_cast<uint32_t>(dags.size());
-  for (const auto& jobdag : dags) {
+  for (dag::JobDag* jobdag : dags) {
     jobdag->Run([&, name = jobdag->name()](Status s) {
       BDIO_CHECK(s.ok()) << "combined dag " << name << ": " << s.message();
       --remaining;
     });
   }
-  sim.Run();
+  bed.sim().Run();
   BDIO_CHECK(remaining == 0);
 
   CombinedCell cell;
-  for (const auto& jobdag : dags) {
+  for (const dag::JobDag* jobdag : dags) {
     double makespan_s = 0;
     for (const dag::NodeRecord& node : jobdag->node_records()) {
       makespan_s = std::max(makespan_s, ToSeconds(node.counters.end_time));

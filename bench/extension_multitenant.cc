@@ -21,15 +21,12 @@
 #include <vector>
 
 #include "bench/figure_common.h"
-#include "cluster/cluster.h"
 #include "common/table.h"
 #include "core/runner/thread_pool.h"
-#include "hdfs/hdfs.h"
 #include "iostat/iostat.h"
 #include "mapreduce/engine.h"
 #include "sched/job_queue.h"
 #include "sched/scheduler.h"
-#include "sim/simulator.h"
 #include "workloads/profile.h"
 
 namespace {
@@ -59,44 +56,24 @@ CellResult RunCell(const core::BenchOptions& options,
                    const std::vector<std::pair<std::string, uint64_t>>&
                        datasets,
                    core::ExperimentResult* obs_out = nullptr) {
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
-  for (const auto& [path, bytes] : datasets) {
-    bench::PreloadOrExit(&dfs, path, bytes);
-  }
-
-  iostat::Monitor monitor(&sim, Seconds(1));
-  for (uint32_t n = 0; n < cluster.num_workers(); ++n) {
-    for (uint32_t d = 0; d < cluster.node(n)->num_hdfs_disks(); ++d) {
-      monitor.AddDevice(cluster.node(n)->hdfs_disk(d), "hdfs");
-    }
-    for (uint32_t d = 0; d < cluster.node(n)->num_mr_disks(); ++d) {
-      monitor.AddDevice(cluster.node(n)->mr_disk(d), "mr");
-    }
-  }
-  monitor.Start();
-
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
+  // Declared before the testbed: the engine holds it to the end.
   const std::unique_ptr<sched::Scheduler> policy_impl =
       sched::MakeScheduler(policy);
   BDIO_CHECK(policy_impl != nullptr) << "unknown policy " << policy;
-  engine.SetScheduler(policy_impl.get());
-
-  if (obs_out) {
-    bench::AttachObsSinks(options, &sim, &cluster, obs_out);
-    dfs.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
-    engine.AttachObs(obs_out->trace.get(), obs_out->metrics.get());
+  core::Testbed bed(bench::MakeTestbedSpec(options, obs_out != nullptr),
+                    Rng(options.seed));
+  if (obs_out) bed.ExportObs(obs_out);
+  for (const auto& [path, bytes] : datasets) {
+    bench::PreloadOrExit(&bed, path, bytes);
   }
+  iostat::Monitor& monitor = bed.MonitorDisks(Seconds(1));
+  mapreduce::MrEngine& engine = bed.engine();
+  engine.SetScheduler(policy_impl.get());
 
   std::vector<mapreduce::JobCounters> counters(stream.size());
   std::unique_ptr<sched::JobQueue> queue;
   queue = std::make_unique<sched::JobQueue>(
-      &sim, static_cast<uint32_t>(stream.size()), [&](size_t index) {
+      &bed.sim(), static_cast<uint32_t>(stream.size()), [&](size_t index) {
         // Each job charges its own pool, so weighted fair sharing splits
         // the slot pool per job.
         engine.SubmitJob(
@@ -112,7 +89,7 @@ CellResult RunCell(const core::BenchOptions& options,
   for (size_t j = 0; j < stream.size(); ++j) {
     queue->Submit(TimeAt(Seconds(2.0 * static_cast<double>(j))));
   }
-  sim.Run();
+  bed.sim().Run();
   BDIO_CHECK(queue->completed() == stream.size());
 
   CellResult result;
@@ -137,23 +114,17 @@ CellResult RunCell(const core::BenchOptions& options,
 double RunDirect(const core::BenchOptions& options, const JobProfile& job,
                  const std::vector<std::pair<std::string, uint64_t>>&
                      datasets) {
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
+  core::Testbed bed(bench::MakeTestbedSpec(options), Rng(options.seed));
   for (const auto& [path, bytes] : datasets) {
-    bench::PreloadOrExit(&dfs, path, bytes);
+    bench::PreloadOrExit(&bed, path, bytes);
   }
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
   double duration_s = -1;
-  engine.RunJob(job.spec, [&](Status s, const mapreduce::JobCounters& c) {
-    BDIO_CHECK_OK(s);
-    duration_s = c.DurationSeconds();
-  });
-  sim.Run();
+  bed.engine().RunJob(job.spec,
+                      [&](Status s, const mapreduce::JobCounters& c) {
+                        BDIO_CHECK_OK(s);
+                        duration_s = c.DurationSeconds();
+                      });
+  bed.sim().Run();
   BDIO_CHECK(duration_s >= 0);
   return duration_s;
 }
@@ -225,14 +196,10 @@ int main(int argc, char** argv) {
       workloads::WorkloadKind::kKMeans,
       workloads::WorkloadKind::kPageRank,
   };
-  workloads::PlanOptions plan_options;
-  plan_options.scale = options.scale;
-  plan_options.compress_intermediate = true;
   std::vector<JobProfile> profiles;
   std::vector<std::pair<std::string, uint64_t>> datasets;
   for (workloads::WorkloadKind kind : mix) {
-    const workloads::WorkloadPlan plan =
-        workloads::BuildPlan(kind, plan_options);
+    const workloads::WorkloadPlan plan = bench::CompressedPlan(options, kind);
     BDIO_CHECK(!plan.jobs.empty());
     profiles.push_back(JobProfile{kind, plan.jobs[0].spec});
     datasets.emplace_back(plan.dataset_path, plan.dataset_bytes);

@@ -39,14 +39,12 @@
 #include <vector>
 
 #include "bench/figure_common.h"
-#include "cluster/cluster.h"
 #include "common/logging.h"
 #include "core/experiment.h"
 #include "core/report.h"
 #include "dag/job_dag.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
-#include "hdfs/hdfs.h"
 #include "mapreduce/engine.h"
 #include "sim/simulator.h"
 #include "workloads/dfsio.h"
@@ -137,12 +135,8 @@ WorkloadScore RunDfsio(const core::BenchOptions& options) {
   const double size_factor = options.scale * 128.0;
   WallTimer timer;
   for (const Config& c : configs) {
-    Rng rng(options.seed);
-    sim::Simulator sim;
-    sim::ScopedLogClock log_clock(&sim);
-    cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options),
-                             16, rng.Fork());
-    hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
+    core::Testbed bed(bench::MakeTestbedSpec(options), Rng(options.seed));
+    sim::Simulator& sim = bed.sim();
 
     workloads::DfsioSpec spec;
     spec.num_files = c.files;
@@ -151,7 +145,7 @@ WorkloadScore RunDfsio(const core::BenchOptions& options) {
         static_cast<uint64_t>(static_cast<double>(c.bytes) * size_factor));
     spec.replication = c.replication;
     Result<workloads::DfsioResult> result = Status::Internal("not run");
-    workloads::RunDfsio(&cluster, &dfs, spec,
+    workloads::RunDfsio(&bed.cluster(), &bed.hdfs(), spec,
                         [&](Result<workloads::DfsioResult> r) {
                           result = std::move(r);
                         });
@@ -170,23 +164,15 @@ WorkloadScore RunChaos(const core::BenchOptions& options) {
   score.name = "chaos";
   WallTimer timer;
 
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
+  core::TestbedSpec bed_spec = bench::MakeTestbedSpec(options);
+  bed_spec.faults = true;
+  core::Testbed bed(bed_spec, Rng(options.seed));
+  sim::Simulator& sim = bed.sim();
+  mapreduce::MrEngine& engine = bed.engine();
 
-  workloads::PlanOptions plan_options;
-  plan_options.scale = options.scale;
-  plan_options.compress_intermediate = true;
   const auto workload =
-      workloads::BuildPlan(workloads::WorkloadKind::kTeraSort, plan_options);
-  bench::PreloadOrExit(&dfs, workload.dataset_path, workload.dataset_bytes);
-
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
-  faults::FaultInjector injector(&cluster, &dfs, &engine);
+      bench::CompressedPlan(options, workloads::WorkloadKind::kTeraSort);
+  bench::PreloadOrExit(&bed, workload.dataset_path, workload.dataset_bytes);
 
   // Early faults so the scenario bites at every --scale: a DataNode death
   // (re-replication + task re-execution) plus a fail-slow MR disk with
@@ -204,7 +190,7 @@ WorkloadScore RunChaos(const core::BenchOptions& options) {
     BDIO_CHECK_OK(s);
     done = true;
   });
-  BDIO_CHECK_OK(injector.Arm(plan));
+  BDIO_CHECK_OK(bed.injector()->Arm(plan));
   sim.Run();
   BDIO_CHECK(done);
 
@@ -220,27 +206,19 @@ WorkloadScore RunChaosRetry(const core::BenchOptions& options) {
   score.name = "chaos_retry";
   WallTimer timer;
 
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
+  core::TestbedSpec bed_spec = bench::MakeTestbedSpec(options);
+  bed_spec.faults = true;
+  core::Testbed bed(bed_spec, Rng(options.seed));
+  sim::Simulator& sim = bed.sim();
+  mapreduce::MrEngine& engine = bed.engine();
 
-  workloads::PlanOptions plan_options;
-  plan_options.scale = options.scale;
-  plan_options.compress_intermediate = true;
   const auto workload =
-      workloads::BuildPlan(workloads::WorkloadKind::kTeraSort, plan_options);
-  bench::PreloadOrExit(&dfs, workload.dataset_path, workload.dataset_bytes);
-
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
+      bench::CompressedPlan(options, workloads::WorkloadKind::kTeraSort);
+  bench::PreloadOrExit(&bed, workload.dataset_path, workload.dataset_bytes);
   mapreduce::FaultToleranceConfig ft;
   ft.blacklist_strikes = 3;
   ft.blacklist_decay = Seconds(30);
   engine.SetFaultTolerance(ft);
-  faults::FaultInjector injector(&cluster, &dfs, &engine);
 
   // The compute-side failure domain: a TaskTracker death (lost-map
   // re-execution) plus a crash-task volley (attempt budgets, backoff,
@@ -255,7 +233,7 @@ WorkloadScore RunChaosRetry(const core::BenchOptions& options) {
                   BDIO_CHECK_OK(s);
                   done = true;
                 });
-  BDIO_CHECK_OK(injector.Arm(plan));
+  BDIO_CHECK_OK(bed.injector()->Arm(plan));
   sim.Run();
   BDIO_CHECK(done);
   // The scenario must actually exercise the retry machinery.
@@ -284,16 +262,10 @@ WorkloadScore RunGraphSssp(const core::BenchOptions& options) {
   workloads::GraphDagPlan plan =
       workloads::BuildGraphDag(workloads::GraphWorkload::kSssp, plan_options);
 
-  Rng rng(options.seed);
-  sim::Simulator sim;
-  sim::ScopedLogClock log_clock(&sim);
-  cluster::Cluster cluster(&sim, bench::MakeScaledClusterParams(options), 16,
-                           rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
-  bench::PreloadOrExit(&dfs, plan.dataset_path, plan.dataset_bytes);
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
-  dag::JobDag jobdag(&sim, &engine, &dfs, std::move(plan.dag));
+  core::Testbed bed(bench::MakeTestbedSpec(options), Rng(options.seed));
+  sim::Simulator& sim = bed.sim();
+  bench::PreloadOrExit(&bed, plan.dataset_path, plan.dataset_bytes);
+  dag::JobDag& jobdag = bed.AddDag(std::move(plan.dag));
   bool done = false;
   jobdag.Run([&](Status s) {
     BDIO_CHECK_OK(s);

@@ -13,13 +13,9 @@
 #include <cstdio>
 #include <set>
 
-#include "cluster/cluster.h"
-#include "core/experiment.h"
-#include "hdfs/hdfs.h"
+#include "core/testbed.h"
 #include "iostat/iostat.h"
-#include "mapreduce/engine.h"
 #include "mrfunc/local_runner.h"
-#include "sim/simulator.h"
 #include "workloads/datagen.h"
 
 namespace {
@@ -88,26 +84,15 @@ int main() {
               stats->intermediate_compression_ratio);
 
   // ---- Step 2+3: replay at datacenter scale on the simulated testbed. ---
-  sim::Simulator sim;
-  cluster::ClusterParams cp;  // the paper's testbed
+  // The paper's 10-worker testbed with 16 GB nodes, memory scaled to 1/256;
+  // one seed drives every random choice of the run.
   const double scale = 1.0 / 256;
-  cp.node.memory_bytes = static_cast<uint64_t>(GiB(16) * scale);
-  cp.node.daemon_bytes = static_cast<uint64_t>(GiB(2) * scale);
-  cp.node.per_slot_heap_bytes = static_cast<uint64_t>(MiB(200) * scale);
-  cp.node.min_cache_bytes = MiB(16);
-  cluster::Cluster cluster(&sim, cp, /*total_slots=*/16, Rng(1));
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, Rng(2));
-  BDIO_CHECK_OK(dfs.Preload("/input/docs",
-                            static_cast<uint64_t>(GiB(256) * scale)));
-
-  iostat::Monitor monitor(&sim, Seconds(1));
-  for (uint32_t n = 0; n < cluster.num_workers(); ++n) {
-    for (uint32_t d = 0; d < 3; ++d) {
-      monitor.AddDevice(cluster.node(n)->hdfs_disk(d), "hdfs");
-      monitor.AddDevice(cluster.node(n)->mr_disk(d), "mr");
-    }
-  }
-  monitor.Start();
+  core::TestbedSpec testbed;
+  testbed.cluster = core::ScaledClusterParams(GiB(16), scale, 10);
+  core::Testbed bed(testbed, Rng(42));
+  BDIO_CHECK_OK(
+      bed.Preload("/input/docs", static_cast<uint64_t>(GiB(256) * scale)));
+  iostat::Monitor& monitor = bed.MonitorDisks(Seconds(1));
 
   mapreduce::SimJobSpec spec;
   spec.name = "inverted-index";
@@ -120,16 +105,14 @@ int main() {
   spec.map_cpu_ns_per_byte = 40;  // text tokenization is CPU-heavy
   spec.reduce_cpu_ns_per_byte = 15;
 
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), Rng(3));
   bool ok = false;
   mapreduce::JobCounters counters;
-  engine.RunJob(spec, [&](Status s, const mapreduce::JobCounters& c) {
+  bed.engine().RunJob(spec, [&](Status s, const mapreduce::JobCounters& c) {
     ok = s.ok();
     counters = c;
     monitor.Stop();
   });
-  sim.Run();
+  bed.sim().Run();
   if (!ok) {
     std::fprintf(stderr, "simulated job failed\n");
     return 1;

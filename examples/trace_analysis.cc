@@ -10,44 +10,32 @@
 #include <string>
 
 #include "bdio_blkparse/blkparse.h"
-#include "cluster/cluster.h"
-#include "hdfs/hdfs.h"
-#include "mapreduce/engine.h"
-#include "obs/blktrace.h"
-#include "sim/simulator.h"
+#include "core/testbed.h"
 #include "workloads/profile.h"
 
 int main(int argc, char** argv) {
   using namespace bdio;
   const std::string out_dir = argc > 1 ? argv[1] : "/tmp";
 
-  Rng rng(42);
-  sim::Simulator sim;
-  cluster::ClusterParams cp;
+  // The paper's testbed at 1/256 scale, recording a block trace of every
+  // disk of every worker; devices are tagged "hdfs" or "mr".
   const double scale = 1.0 / 256;
-  cp.node.memory_bytes = static_cast<uint64_t>(GiB(16) * scale);
-  cp.node.daemon_bytes = static_cast<uint64_t>(GiB(2) * scale);
-  cp.node.per_slot_heap_bytes = static_cast<uint64_t>(MiB(200) * scale);
-  cp.node.min_cache_bytes = MiB(16);
-  cluster::Cluster cluster(&sim, cp, 16, rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
+  core::TestbedSpec testbed;
+  testbed.cluster = core::ScaledClusterParams(GiB(16), scale, 10);
+  testbed.blktrace = true;
+  core::Testbed bed(testbed, Rng(42));
 
   workloads::PlanOptions options;
   options.scale = scale;
   const workloads::WorkloadPlan plan =
       workloads::BuildPlan(workloads::WorkloadKind::kTeraSort, options);
-  BDIO_CHECK_OK(dfs.Preload(plan.dataset_path, plan.dataset_bytes));
+  BDIO_CHECK_OK(bed.Preload(plan.dataset_path, plan.dataset_bytes));
 
-  // Trace every disk of every worker; devices are tagged "hdfs" or "mr".
-  obs::BlktraceSession session(&sim);
-  cluster.AttachBlktrace(&session);
-
-  mapreduce::MrEngine engine(&cluster, &dfs,
-                             mapreduce::SlotConfig::Paper_1_8(), rng.Fork());
   bool ok = false;
-  engine.RunJob(plan.jobs[0].spec,
-                [&](Status s, const mapreduce::JobCounters&) { ok = s.ok(); });
-  sim.Run();
+  bed.engine().RunJob(
+      plan.jobs[0].spec,
+      [&](Status s, const mapreduce::JobCounters&) { ok = s.ok(); });
+  bed.sim().Run();
   if (!ok) {
     std::fprintf(stderr, "job failed\n");
     return 1;
@@ -55,7 +43,7 @@ int main(int argc, char** argv) {
 
   // Persist and reload the trace (the artifact bdio-blkparse reads).
   const std::string path = out_dir + "/terasort.blk";
-  BDIO_CHECK_OK(session.WriteFile(path));
+  BDIO_CHECK_OK(bed.blktrace()->WriteFile(path));
   auto loaded = blkparse::ParseFile(path);
   BDIO_CHECK(loaded.ok()) << loaded.status().ToString();
   blkparse::Report report = blkparse::Analyze(loaded.value());

@@ -3,16 +3,10 @@
 #include <memory>
 #include <utility>
 
-#include "check/invariants.h"
-#include "cluster/cluster.h"
 #include "common/io_tag.h"
 #include "common/logging.h"
-#include "common/random.h"
-#include "dag/job_dag.h"
-#include "hdfs/hdfs.h"
-#include "mapreduce/engine.h"
+#include "core/testbed.h"
 #include "sim/latch.h"
-#include "sim/simulator.h"
 
 namespace bdio::core {
 
@@ -85,21 +79,12 @@ Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec) {
   if (spec.scale <= 0 || spec.scale > 1.0) {
     return Status::InvalidArgument("scale must be in (0, 1]");
   }
-  Rng rng(spec.seed);
-  sim::Simulator sim;
-  // Log lines emitted while this experiment runs carry its sim-time.
-  sim::ScopedLogClock log_clock(&sim);
 
   // ---- Testbed (Tables 1 and 2), scaled. -------------------------------
-  cluster::ClusterParams cp;
-  cp.num_workers = spec.num_workers;
-  cp.node.memory_bytes = static_cast<uint64_t>(
-      static_cast<double>(spec.factors.memory_bytes) * spec.scale);
-  cp.node.daemon_bytes =
-      static_cast<uint64_t>(static_cast<double>(GiB(2)) * spec.scale);
-  cp.node.per_slot_heap_bytes =
-      static_cast<uint64_t>(static_cast<double>(MiB(200)) * spec.scale);
-  cp.node.min_cache_bytes = MiB(16);
+  TestbedSpec bed_spec;
+  bed_spec.cluster = ScaledClusterParams(spec.factors.memory_bytes,
+                                         spec.scale, spec.num_workers);
+  cluster::ClusterParams& cp = bed_spec.cluster;
   cp.node.io_scheduler = spec.io_scheduler;
   cp.node.num_hdfs_disks = spec.num_hdfs_disks;
   cp.node.num_mr_disks = spec.num_mr_disks;
@@ -109,10 +94,13 @@ Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec) {
   if (spec.ssd_intermediate) {
     cp.node.mr_disk = storage::DiskParameters::SataSsd2013();
   }
-  cluster::Cluster cluster(&sim, cp, spec.factors.slots.total(), rng.Fork());
-
-  hdfs::HdfsParams hp;
-  hdfs::Hdfs dfs(&cluster, hp, rng.Fork());
+  bed_spec.slots = spec.factors.slots;
+  bed_spec.trace = spec.collect_trace;
+  bed_spec.blktrace = spec.collect_blktrace;
+  Testbed bed(bed_spec, Rng(spec.seed));
+  sim::Simulator& sim = bed.sim();
+  cluster::Cluster& cluster = bed.cluster();
+  mapreduce::MrEngine& engine = bed.engine();
 
   // ---- Workload plan and dataset. ---------------------------------------
   workloads::PlanOptions options;
@@ -131,43 +119,14 @@ Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec) {
   for (workloads::PlannedJob& job : plan.jobs) {
     ApplyJobOverrides(spec, &job.spec);
   }
-  BDIO_RETURN_IF_ERROR(dfs.Preload(plan.dataset_path, plan.dataset_bytes));
+  BDIO_RETURN_IF_ERROR(bed.Preload(plan.dataset_path, plan.dataset_bytes));
 
   // ---- Monitoring: iostat -x 1 on every data disk of every worker. ------
-  iostat::Monitor monitor(&sim, spec.iostat_interval);
-  for (uint32_t n = 0; n < cluster.num_workers(); ++n) {
-    for (uint32_t d = 0; d < cluster.node(n)->num_hdfs_disks(); ++d) {
-      monitor.AddDevice(cluster.node(n)->hdfs_disk(d), "hdfs");
-    }
-    for (uint32_t d = 0; d < cluster.node(n)->num_mr_disks(); ++d) {
-      monitor.AddDevice(cluster.node(n)->mr_disk(d), "mr");
-    }
-  }
-  monitor.Start();
-  mapreduce::MrEngine engine(&cluster, &dfs, spec.factors.slots, rng.Fork());
-
-  // ---- Observability: metrics registry (always) + optional trace. -------
-  auto metrics = std::make_shared<obs::MetricsRegistry>();
-  std::shared_ptr<obs::TraceSession> trace;
-  if (spec.collect_trace) {
-    trace = std::make_shared<obs::TraceSession>(&sim);
-  }
-  obs::TraceSession* tr = trace.get();
-  cluster.AttachObs(tr, metrics.get());
-  dfs.AttachObs(tr, metrics.get());
-  engine.AttachObs(tr, metrics.get());
-  std::shared_ptr<obs::BlktraceSession> blktrace;
-  if (spec.collect_blktrace) {
-    blktrace = std::make_shared<obs::BlktraceSession>(
-        &sim, spec.blktrace_max_records);
-    blktrace->AttachMetrics(metrics.get());
-    cluster.AttachBlktrace(blktrace.get());
-  }
+  iostat::Monitor& monitor = bed.MonitorDisks(spec.iostat_interval);
 
   // The workload dag: static plan jobs as a linear dependency chain (the
   // pre-dag chained semantics); iterative workloads grow the dag round by
-  // round through their controller. Constructed before the invariant
-  // checker so the checker's final detach-time audit still has a live dag.
+  // round through their controller.
   dag::DagSpec dag_spec;
   dag_spec.name = plan.short_name;
   dag_spec.expire_intermediates = plan.expire_intermediates;
@@ -181,14 +140,7 @@ Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec) {
     dag_spec.controller =
         std::make_shared<SpecPatchController>(plan.iteration, &spec);
   }
-  dag::JobDag jobdag(&sim, &engine, &dfs, std::move(dag_spec));
-  jobdag.AttachObs(metrics.get());
-
-  // Debug-mode invariant auditing (BDIO_CHECK_INVARIANTS=1): read-only, so
-  // a checked run stays byte-identical to an unchecked one.
-  const auto checker = invariants::MaybeAttachFromEnv(
-      &sim, &cluster, &dfs, &engine, metrics.get());
-  if (checker != nullptr) checker->WatchDag(&jobdag);
+  dag::JobDag& jobdag = bed.AddDag(std::move(dag_spec));
 
   // CPU + task-concurrency sampler: per interval, the fraction of all cores
   // in use and the executing task counts. Stops rescheduling once the
@@ -270,17 +222,15 @@ Result<ExperimentResult> RunExperiment(const ExperimentSpec& spec) {
     const char* name = IoTagName(static_cast<IoTag>(t));
     const obs::Labels labels{{"source", name}};
     const uint64_t r =
-        metrics->CounterValue("pagecache.tag_disk_read_bytes", labels);
+        bed.metrics().CounterValue("pagecache.tag_disk_read_bytes", labels);
     const uint64_t w =
-        metrics->CounterValue("pagecache.tag_disk_write_bytes", labels);
+        bed.metrics().CounterValue("pagecache.tag_disk_write_bytes", labels);
     if (r + w == 0) continue;
     IoSourceVolumes& dst = result.io_sources[name];
     dst.disk_read_bytes = r;
     dst.disk_write_bytes = w;
   }
-  result.metrics = std::move(metrics);
-  result.trace = std::move(trace);
-  result.blktrace = std::move(blktrace);
+  bed.ExportObs(&result);
   return result;
 }
 

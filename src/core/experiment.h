@@ -78,11 +78,10 @@ struct ExperimentSpec {
   /// Record a block-layer Q/M/D/C lifecycle trace of every data disk
   /// (docs/BLKTRACE.md), returned in ExperimentResult::blktrace. Off by
   /// default for the same reason as collect_trace; recording never
-  /// perturbs the simulation.
+  /// perturbs the simulation. Each device's ring holds
+  /// obs::BlktraceSession::kDefaultMaxRecordsPerDevice records; overwrites
+  /// are counted in the "blktrace.dropped_records" registry counter.
   bool collect_blktrace = false;
-  /// Per-device ring capacity when collect_blktrace is set; overwrites are
-  /// counted in the "blktrace.dropped_records" registry counter.
-  uint64_t blktrace_max_records = 1ull << 20;
 };
 
 /// Per-disk-class observation of one run: every iostat metric as a

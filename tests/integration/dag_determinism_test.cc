@@ -10,14 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster.h"
 #include "core/runner/thread_pool.h"
+#include "core/testbed.h"
 #include "dag/job_dag.h"
 #include "faults/fault_plan.h"
-#include "faults/injector.h"
-#include "hdfs/hdfs.h"
-#include "mapreduce/engine.h"
-#include "sim/simulator.h"
 #include "workloads/graph_profile.h"
 
 namespace bdio::dag {
@@ -33,32 +29,29 @@ std::string RunFaultedGraphDag(uint64_t seed) {
   workloads::GraphDagPlan plan =
       workloads::BuildGraphDag(workloads::GraphWorkload::kSssp, plan_options);
 
-  Rng rng(seed);
-  sim::Simulator sim;
-  cluster::ClusterParams cp;
-  cp.num_workers = 8;
-  cp.node.memory_bytes = GiB(4);
-  cp.node.daemon_bytes = MiB(256);
-  cp.node.per_slot_heap_bytes = MiB(16);
-  const mapreduce::SlotConfig slots{2, 2, "test"};
-  cluster::Cluster cluster(&sim, cp, slots.total(), rng.Fork());
-  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, rng.Fork());
-  EXPECT_TRUE(dfs.Preload(plan.dataset_path, plan.dataset_bytes).ok());
-  mapreduce::MrEngine engine(&cluster, &dfs, slots, rng.Fork());
+  core::TestbedSpec spec;
+  spec.cluster.num_workers = 8;
+  spec.cluster.node.memory_bytes = GiB(4);
+  spec.cluster.node.daemon_bytes = MiB(256);
+  spec.cluster.node.per_slot_heap_bytes = MiB(16);
+  spec.slots = mapreduce::SlotConfig{2, 2, "test"};
+  spec.faults = true;
+  core::Testbed bed(spec, Rng(seed));
+  sim::Simulator& sim = bed.sim();
+  EXPECT_TRUE(bed.Preload(plan.dataset_path, plan.dataset_bytes).ok());
 
-  faults::FaultInjector injector(&cluster, &dfs, &engine);
   faults::FaultPlan chaos;
   chaos.KillDataNode(3, TimeAt(Seconds(2)));
   chaos.DegradeDisk(5, /*mr_disk=*/true, 0, /*factor=*/4.0, TimeAt(Seconds(1)),
                     TimeAt(Seconds(60)));
 
-  JobDag jobdag(&sim, &engine, &dfs, std::move(plan.dag));
+  JobDag& jobdag = bed.AddDag(std::move(plan.dag));
   bool done = false;
   jobdag.Run([&](Status s) {
     EXPECT_TRUE(s.ok()) << s.ToString();
     done = true;
   });
-  EXPECT_TRUE(injector.Arm(chaos).ok());
+  EXPECT_TRUE(bed.injector()->Arm(chaos).ok());
   sim.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(jobdag.AuditInvariants(), "");
