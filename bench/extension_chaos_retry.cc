@@ -273,9 +273,12 @@ int main(int argc, char** argv) {
   obs_holder.label = "TS_healthy";
 
   // Phase 1: healthy baselines (fault times scale with the run length).
+  // The TeraSort baseline runs without an injector, so the "empty-plan"
+  // cell's identity check compares an armed-but-empty injector with none.
+  TsScenario healthy{"healthy"};
+  healthy.use_injector = false;
   std::future<TsCell> ts_healthy_future = pool.Async([&] {
-    return RunTeraSort(options, TsScenario{"healthy"}, 0,
-                       want_obs ? &obs_holder : nullptr);
+    return RunTeraSort(options, healthy, 0, want_obs ? &obs_holder : nullptr);
   });
   std::future<DagCell> sssp_healthy_future =
       pool.Async([&] { return RunSssp(options, false, 0, 0); });

@@ -77,8 +77,8 @@ std::string InvariantChecker::RunAudit() const {
     std::string v = engine_->AuditInvariants();
     if (!v.empty()) return v;
   }
-  if (dag_ != nullptr) {
-    std::string v = dag_->AuditInvariants();
+  for (const dag::JobDag* jobdag : dags_) {
+    std::string v = jobdag->AuditInvariants();
     if (!v.empty()) return v;
   }
   if (metrics_ != nullptr) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "common/units.h"
@@ -72,9 +73,10 @@ class InvariantChecker {
   void WatchCluster(cluster::Cluster* cluster) { cluster_ = cluster; }
   void WatchHdfs(hdfs::Hdfs* hdfs) { hdfs_ = hdfs; }
   void WatchEngine(mapreduce::MrEngine* engine) { engine_ = engine; }
-  /// Registered by dag-driving runners after MaybeAttachFromEnv (the dag
-  /// is constructed later than the core subsystems).
-  void WatchDag(const dag::JobDag* jobdag) { dag_ = jobdag; }
+  /// Registered by dag-driving runners after MaybeAttachFromEnv (a dag is
+  /// constructed later than the core subsystems). Every dag registered is
+  /// audited, in registration order.
+  void WatchDag(const dag::JobDag* jobdag) { dags_.push_back(jobdag); }
   void WatchMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
   /// Runs the full audit immediately (aborts or records per config.fatal).
@@ -99,7 +101,7 @@ class InvariantChecker {
   cluster::Cluster* cluster_ = nullptr;
   hdfs::Hdfs* hdfs_ = nullptr;
   mapreduce::MrEngine* engine_ = nullptr;
-  const dag::JobDag* dag_ = nullptr;
+  std::vector<const dag::JobDag*> dags_;
   obs::MetricsRegistry* metrics_ = nullptr;
   SimTime last_now_;
   uint64_t events_checked_ = 0;

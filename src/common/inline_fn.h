@@ -14,8 +14,9 @@ namespace bdio {
 /// 16-byte small-object buffer forces a heap allocation for almost every one
 /// of them (a typical completion captures `this` plus a shared_ptr plus an
 /// offset). InlineFn widens the inline buffer to `kInlineSize` bytes — sized
-/// so the engine's chunk-streaming closures (two shared_ptrs, a callback,
-/// and a length) still fit — and only falls back to the heap beyond that.
+/// so the engine's shuffle-fetch completion (two shared_ptrs, a length, a
+/// node and two trace ids) still fits — and only falls back to the heap
+/// beyond that.
 ///
 /// Type erasure is a single manage-function pointer handling invoke /
 /// destroy / relocate, so sizeof(InlineFn) == kInlineSize + 8 and a move is
@@ -29,7 +30,8 @@ namespace bdio {
 class InlineFn {
  public:
   /// Inline capture capacity in bytes. 80 covers every hot closure in the
-  /// tree (the largest, MrEngine's stream steps, captures 72 bytes).
+  /// tree (the largest, MrEngine's shuffle-fetch completion, captures 72
+  /// bytes; its chunk-stream steps capture 24).
   static constexpr size_t kInlineSize = 80;
 
   InlineFn() = default;

@@ -74,7 +74,7 @@ dag::JobDag& Testbed::AddDag(dag::DagSpec spec) {
       std::make_unique<dag::JobDag>(&sim_, &engine_, &hdfs_, std::move(spec)));
   dag::JobDag& jobdag = *dags_.back();
   jobdag.AttachObs(metrics_.get());
-  if (checker_ != nullptr && dags_.size() == 1) checker_->WatchDag(&jobdag);
+  if (checker_ != nullptr) checker_->WatchDag(&jobdag);
   return jobdag;
 }
 

@@ -80,8 +80,8 @@ class Testbed {
   /// the monitor.
   iostat::Monitor& MonitorDisks(SimDuration interval);
 
-  /// Builds a dag over this testbed, attached to the registry. The first
-  /// dag added is the one the invariant checker audits.
+  /// Builds a dag over this testbed, attached to the registry and, under
+  /// BDIO_CHECK_INVARIANTS=1, watched by the invariant checker.
   dag::JobDag& AddDag(dag::DagSpec spec);
 
   /// Hands the run's registry and traces to `out`; they outlive the

@@ -20,83 +20,60 @@ constexpr uint64_t kTaskChunk = MiB(1);
 /// 64 KiB at a time) — one source of the MR disks' small-request pattern.
 constexpr uint64_t kShuffleChunk = KiB(64);
 
+/// A chunked stream of reads (or appends) over one file.
 struct StreamState {
   os::FileSystem* fs = nullptr;
   os::File* file = nullptr;
+  bool read = false;
   uint64_t offset = 0;
   uint64_t total = 0;
   uint64_t chunk = 0;
   uint64_t pos = 0;
-  std::function<void()> cb;
+  InlineFn cb;
   obs::TraceSession* trace = nullptr;
   uint64_t flow = 0;
 };
 
-void AppendStep(std::shared_ptr<StreamState> st) {
+void StreamStep(std::shared_ptr<StreamState> st) {
   if (st->pos >= st->total) {
     st->cb();
     return;
   }
   const uint64_t n = std::min(st->chunk, st->total - st->pos);
   obs::FlowScope flow_scope(st->trace, st->flow);
-  st->fs->Append(st->file, n, [st, n] {
+  auto next = [st, n] {
     st->pos += n;
-    AppendStep(st);
-  });
+    StreamStep(st);
+  };
+  if (st->read) {
+    st->fs->Read(st->file, st->offset + st->pos, n, std::move(next));
+  } else {
+    st->fs->Append(st->file, n, std::move(next));
+  }
 }
 
-void ReadStep(std::shared_ptr<StreamState> st) {
-  if (st->pos >= st->total) {
-    st->cb();
+void Stream(sim::Simulator* sim, StreamState state) {
+  if (state.total == 0) {
+    sim->ScheduleAfter(SimDuration{}, std::move(state.cb));
     return;
   }
-  const uint64_t n = std::min(st->chunk, st->total - st->pos);
-  obs::FlowScope flow_scope(st->trace, st->flow);
-  st->fs->Read(st->file, st->offset + st->pos, n, [st, n] {
-    st->pos += n;
-    ReadStep(st);
-  });
+  StreamStep(std::make_shared<StreamState>(std::move(state)));
 }
 
 }  // namespace
 
 void AppendStream(sim::Simulator* sim, os::FileSystem* fs, os::File* file,
-                  uint64_t total, uint64_t chunk, std::function<void()> cb,
+                  uint64_t total, uint64_t chunk, InlineFn cb,
                   obs::TraceSession* trace, uint64_t flow) {
-  if (total == 0) {
-    sim->ScheduleAfter(SimDuration{}, std::move(cb));
-    return;
-  }
-  auto st = std::make_shared<StreamState>();
-  st->fs = fs;
-  st->file = file;
-  st->offset = 0;
-  st->total = total;
-  st->chunk = chunk;
-  st->cb = std::move(cb);
-  st->trace = trace;
-  st->flow = flow;
-  AppendStep(std::move(st));
+  Stream(sim, {fs, file, /*read=*/false, 0, total, chunk, 0, std::move(cb),
+               trace, flow});
 }
 
 void ReadStream(sim::Simulator* sim, os::FileSystem* fs, os::File* file,
-                uint64_t offset, uint64_t total, uint64_t chunk,
-                std::function<void()> cb, obs::TraceSession* trace,
-                uint64_t flow) {
-  if (total == 0) {
-    sim->ScheduleAfter(SimDuration{}, std::move(cb));
-    return;
-  }
-  auto st = std::make_shared<StreamState>();
-  st->fs = fs;
-  st->file = file;
-  st->offset = offset;
-  st->total = total;
-  st->chunk = chunk;
-  st->cb = std::move(cb);
-  st->trace = trace;
-  st->flow = flow;
-  ReadStep(std::move(st));
+                uint64_t offset, uint64_t total, uint64_t chunk, InlineFn cb,
+                obs::TraceSession* trace, uint64_t flow) {
+  Stream(sim, {fs, file, /*read=*/true, offset, total, chunk, 0,
+               std::move(cb), trace, flow});
 }
 
 // ---------------------------------------------------------------------------
@@ -106,7 +83,6 @@ void ReadStream(sim::Simulator* sim, os::FileSystem* fs, os::File* file,
 struct MrEngine::MapTask {
   size_t split_idx = 0;
   uint32_t node = 0;
-  uint64_t epoch = 0;  ///< Node epoch at launch; stale after a failure.
   bool local = false;
   bool preempted = false;  ///< Marked for reclaim; abandons at a boundary.
   bool speculative = false;  ///< A backup attempt for a straggling original.
@@ -127,7 +103,6 @@ struct MrEngine::MapTask {
 struct MrEngine::ReduceTask {
   uint32_t idx = 0;
   uint32_t node = 0;
-  bool dead = false;  ///< Host failed; continuations must abandon.
   bool done = false;
   size_t next_output = 0;   ///< Next map output to fetch.
   uint32_t inflight = 0;    ///< Concurrent fetches.
@@ -204,6 +179,83 @@ struct MrEngine::Job {
   bool map_only() const { return spec.num_reduce_tasks == 0; }
 };
 
+/// Round-robin cursor over on-disk runs: each Next() takes the next
+/// kTaskChunk slice of the first run, from the cursor on, that still holds
+/// data.
+struct MrEngine::RunCursor {
+  explicit RunCursor(std::vector<RunFile> inputs)
+      : runs(std::move(inputs)), pos(runs.size(), 0) {}
+
+  /// The run the slice [*offset, *offset + *n) comes from; null (and the
+  /// outputs untouched) once every run is drained.
+  const RunFile* Next(uint64_t* offset, uint64_t* n) {
+    for (size_t k = 0; k < runs.size(); ++k) {
+      const size_t i = (next + k) % runs.size();
+      if (pos[i] < runs[i].bytes) {
+        next = i + 1;
+        *offset = pos[i];
+        *n = std::min(kTaskChunk, runs[i].bytes - pos[i]);
+        pos[i] += *n;
+        return &runs[i];
+      }
+    }
+    return nullptr;
+  }
+
+  std::vector<RunFile> runs;
+  std::vector<uint64_t> pos;
+  size_t next = 0;
+};
+
+/// Map-side merge of an attempt's spills into one map-output file: each
+/// chunk read from the spills is appended to the output before the next.
+struct MrEngine::MapMerge : std::enable_shared_from_this<MapMerge> {
+  MapMerge(MrEngine* e, std::shared_ptr<Job> j, std::shared_ptr<MapTask> m,
+           os::FileSystem* fs, os::File* f, uint64_t bytes, uint64_t s)
+      : engine(e), job(std::move(j)), mt(std::move(m)), out_fs(fs), out(f),
+        total(bytes), span(s), cursor(mt->spills) {}
+
+  void Step();
+  /// Commits the merged output, or discards it when the host died or a
+  /// rival committed while this attempt merged.
+  void Finish();
+
+  MrEngine* engine = nullptr;
+  std::shared_ptr<Job> job;
+  std::shared_ptr<MapTask> mt;
+  os::FileSystem* out_fs = nullptr;
+  os::File* out = nullptr;
+  uint64_t total = 0;
+  uint64_t span = 0;  ///< merge-pass trace span.
+  RunCursor cursor;
+};
+
+/// Reduce-side merge: burns the memory-resident bytes on the CPU, then
+/// streams the on-disk runs with each chunk's CPU overlapping the next
+/// chunk's read, and finally writes the reduce output.
+struct MrEngine::ReduceMerge : std::enable_shared_from_this<ReduceMerge> {
+  ReduceMerge(MrEngine* e, std::shared_ptr<Job> j,
+              std::shared_ptr<ReduceTask> r, double cpu)
+      : engine(e), job(std::move(j)), rt(std::move(r)), cpu_per_byte(cpu),
+        cursor(rt->runs), mem_left(rt->mem_bytes) {}
+
+  /// Abandons the merge once the host is dead.
+  void Step();
+  /// Starts the next on-disk chunk's read; false when all runs are drained.
+  bool ReadNext(InlineFn on_ready);
+  /// Writes the reduce output slice to HDFS.
+  void Finish();
+
+  MrEngine* engine = nullptr;
+  std::shared_ptr<Job> job;
+  std::shared_ptr<ReduceTask> rt;
+  double cpu_per_byte = 0;
+  RunCursor cursor;
+  uint64_t mem_left = 0;
+  uint64_t pending_n = 0;  ///< Bytes of the chunk currently in hand.
+  bool drained = false;    ///< All run data has been read.
+};
+
 MrEngine::MrEngine(cluster::Cluster* cluster, hdfs::Hdfs* hdfs,
                    const SlotConfig& slots, Rng rng)
     : cluster_(cluster), hdfs_(hdfs), slots_(slots), rng_(rng) {
@@ -212,7 +264,6 @@ MrEngine::MrEngine(cluster::Cluster* cluster, hdfs::Hdfs* hdfs,
   free_map_slots_.assign(cluster->num_workers(), slots.map_slots);
   free_reduce_slots_.assign(cluster->num_workers(), slots.reduce_slots);
   node_dead_.assign(cluster->num_workers(), false);
-  node_epoch_.assign(cluster->num_workers(), 0);
   node_strikes_.assign(cluster->num_workers(), 0);
   node_blacklisted_.assign(cluster->num_workers(), false);
   retry_rng_ = rng_.Fork();
@@ -254,7 +305,6 @@ void MrEngine::InjectNodeFailure(uint32_t node) {
   BDIO_CHECK(node < cluster_->num_workers());
   if (node_dead_[node]) return;
   node_dead_[node] = true;
-  ++node_epoch_[node];
   free_map_slots_[node] = 0;
   free_reduce_slots_[node] = 0;
   // A dead node's blacklist entry is moot (and must not resurrect it).
@@ -272,9 +322,7 @@ void MrEngine::InjectNodeFailure(uint32_t node) {
         ++job->counters.maps_reexecuted;
         ++maps_reexecuted_;
         if (m_reexec_maps_) m_reexec_maps_->Inc();
-        job->counters.wasted_work_bytes += mo.bytes;
-        wasted_work_bytes_ += mo.bytes;
-        if (m_retry_wasted_) m_retry_wasted_->Add(mo.bytes);
+        ChargeWasted(*job, mo.bytes);
         job->reexec[mo.split_idx] = true;
         mo.file = nullptr;
         mo.fs = nullptr;
@@ -282,19 +330,14 @@ void MrEngine::InjectNodeFailure(uint32_t node) {
         BDIO_CHECK(job->maps_done > 0);
         --job->maps_done;
         job->committed[mo.split_idx] = false;  // the re-execution recommits
-        job->started[mo.split_idx] = false;
-        job->pending.push_back(mo.split_idx);
-        ++job->unstarted_maps;
+        RequeueSplit(*job, mo.split_idx);
       }
     }
     // Running reducers on the node restart elsewhere; the segments the dead
     // attempt already copied are re-fetched by its replacement.
     for (auto& rt : job->reducers) {
-      if (rt->node == node && !rt->done && !rt->dead) {
-        rt->dead = true;
-        job->counters.wasted_work_bytes += rt->fetched_bytes;
-        wasted_work_bytes_ += rt->fetched_bytes;
-        if (m_retry_wasted_) m_retry_wasted_->Add(rt->fetched_bytes);
+      if (rt->node == node && !rt->done) {
+        ChargeWasted(*job, rt->fetched_bytes);
         if (trace_) {
           // The attempt's spans end here; the replacement opens fresh ones.
           trace_->EndSpan(rt->merge_span);
@@ -311,8 +354,8 @@ void MrEngine::InjectNodeFailure(uint32_t node) {
       }
     }
   }
-  // (Running maps on the node are discarded when they report in: their
-  // epoch no longer matches.)
+  // (Running maps on the node are lost when they report in: their host is
+  // dead.)
   DispatchMaps();
   for (const auto& job : active) {
     if (!job->finished) MaybeStartReducers(job);
@@ -327,7 +370,6 @@ void MrEngine::InjectTaskCrash(uint32_t node) {
     if (job->finished) continue;
     for (const auto& mt : job->running_map_tasks) {
       if (mt->node != node) continue;
-      if (mt->epoch != node_epoch_[node]) continue;
       if (mt->preempted || mt->cancelled || mt->crashed) continue;
       // The attempt fails at its next chunk boundary (in-flight I/O
       // drains first, as in the node-failure model).
@@ -459,7 +501,7 @@ uint32_t MrEngine::stale_map_attempts() const {
   uint32_t stale = 0;
   for (const auto& job : jobs_) {
     for (const auto& mt : job->running_map_tasks) {
-      if (mt->epoch != node_epoch_[mt->node]) ++stale;
+      if (node_dead_[mt->node]) ++stale;
     }
   }
   return stale;
@@ -575,13 +617,13 @@ void MrEngine::DispatchSpeculative() {
               mt->crashed) {
             continue;
           }
-          if (mt->epoch != node_epoch_[mt->node]) continue;
+          if (node_dead_[mt->node]) continue;
           if (mt->node == node) continue;  // back up on a different node
           if (job->committed[mt->split_idx]) continue;
           if (static_cast<double>((now - mt->start_time).ns()) <= threshold) {
             continue;
           }
-          if (HasLiveAttempt(job, mt->split_idx, mt)) continue;  // one backup
+          if (HasLiveAttempt(*job, mt->split_idx, mt)) continue;  // one backup
           owner = job;
           straggler = mt;
           break;
@@ -600,16 +642,53 @@ void MrEngine::DispatchSpeculative() {
   }
 }
 
-bool MrEngine::HasLiveAttempt(const std::shared_ptr<Job>& job,
-                              size_t split_idx,
+bool MrEngine::HasLiveAttempt(const Job& job, size_t split_idx,
                               const std::shared_ptr<MapTask>& except) const {
-  for (const auto& other : job->running_map_tasks) {
+  for (const auto& other : job.running_map_tasks) {
     if (other == except) continue;
     if (other->split_idx != split_idx) continue;
-    if (other->epoch != node_epoch_[other->node]) continue;
+    if (node_dead_[other->node]) continue;
     return true;
   }
   return false;
+}
+
+bool MrEngine::SplitSettled(const Job& job, size_t split_idx,
+                            const std::shared_ptr<MapTask>& except) const {
+  return job.committed[split_idx] || HasLiveAttempt(job, split_idx, except);
+}
+
+void MrEngine::RequeueSplit(Job& job, size_t split_idx) {
+  job.started[split_idx] = false;
+  job.pending.push_back(split_idx);
+  ++job.unstarted_maps;
+}
+
+void MrEngine::ChargeWasted(Job& job, uint64_t bytes) {
+  job.counters.wasted_work_bytes += bytes;
+  wasted_work_bytes_ += bytes;
+  if (m_retry_wasted_) m_retry_wasted_->Add(bytes);
+}
+
+void MrEngine::ChargeDuplicate(Job& job, uint64_t bytes) {
+  if (job.failing) {
+    // Aborted by the job's failure drain, not a speculative race.
+    ChargeWasted(job, bytes);
+    return;
+  }
+  job.counters.speculative_wasted_bytes += bytes;
+  speculative_wasted_bytes_ += bytes;
+  if (m_spec_wasted_) m_spec_wasted_->Add(bytes);
+}
+
+void MrEngine::ChargeInputRead(Job& job, const MapTask& mt, uint64_t bytes) {
+  job.counters.hdfs_read_bytes += bytes;
+  if (job.m_hdfs_read) job.m_hdfs_read->Add(bytes);
+  if (mt.reexec) {
+    job.counters.reexec_read_bytes += bytes;
+    reexec_read_bytes_ += bytes;
+    if (m_reexec_read_) m_reexec_read_->Add(bytes);
+  }
 }
 
 void MrEngine::MaybePreemptFor(const std::shared_ptr<Job>& job) {
@@ -645,8 +724,7 @@ void MrEngine::MaybePreemptFor(const std::shared_ptr<Job>& job) {
     std::shared_ptr<MapTask> target;
     for (auto it = vjob->running_map_tasks.rbegin();
          it != vjob->running_map_tasks.rend(); ++it) {
-      if ((*it)->preempted || (*it)->crashed ||
-          (*it)->epoch != node_epoch_[(*it)->node]) {
+      if ((*it)->preempted || (*it)->crashed || node_dead_[(*it)->node]) {
         continue;
       }
       if ((*it)->speculative) {
@@ -663,60 +741,15 @@ void MrEngine::MaybePreemptFor(const std::shared_ptr<Job>& job) {
   }
 }
 
-void MrEngine::OnMapPreempted(std::shared_ptr<Job> job,
-                              std::shared_ptr<MapTask> mt) {
-  BDIO_CHECK(mt->preempted);
-  BDIO_CHECK(mt->epoch == node_epoch_[mt->node]);
-  BDIO_CHECK(running_maps_ > 0);
-  --running_maps_;
-  BDIO_CHECK(job->running_maps > 0);
-  --job->running_maps;
-  BDIO_CHECK(job->preempt_marked > 0);
-  --job->preempt_marked;
-  if (mt->speculative) {
-    BDIO_CHECK(job->speculative_running > 0);
-    --job->speculative_running;
-    BDIO_CHECK(job->spec_preempt_marked > 0);
-    --job->spec_preempt_marked;
-  }
-  auto& rmt = job->running_map_tasks;
-  rmt.erase(std::remove(rmt.begin(), rmt.end(), mt), rmt.end());
-  if (trace_) {
-    trace_->EndSpan(mt->span);
-    trace_->FlowEnd(mt->flow, mt->node + 1);
-  }
-  // The attempt abandons: partial spills are purged, the split re-queues
-  // (unless it is already committed, or a rival attempt still runs — a
-  // backup whose original is gone must requeue, and an original whose
-  // backup survives must not), and the slot goes back to the pool for the
-  // policy to re-grant.
-  for (const RunFile& r : mt->spills) {
-    BDIO_CHECK_OK(r.fs->Delete(r.file->name()));
-  }
-  mt->spills.clear();
-  ++free_map_slots_[mt->node];
-  ++job->counters.maps_preempted;
-  if (m_preempted_maps_) m_preempted_maps_->Inc();
-  if (!job->committed[mt->split_idx] &&
-      !HasLiveAttempt(job, mt->split_idx, mt)) {
-    job->started[mt->split_idx] = false;
-    job->pending.push_back(mt->split_idx);
-    ++job->unstarted_maps;
-  }
-  DispatchMaps();
-  MaybeFinishJob(job);  // a failing job may have been waiting on this drain
-}
-
-void MrEngine::OnMapFailed(std::shared_ptr<Job> job,
-                           std::shared_ptr<MapTask> mt) {
-  BDIO_CHECK(mt->crashed);
-  BDIO_CHECK(mt->epoch == node_epoch_[mt->node]);
+void MrEngine::RetireMapAttempt(std::shared_ptr<Job> job,
+                                std::shared_ptr<MapTask> mt, MapExit exit) {
+  BDIO_CHECK(node_dead_[mt->node] == (exit == MapExit::kHostLost));
   BDIO_CHECK(running_maps_ > 0);
   --running_maps_;
   BDIO_CHECK(job->running_maps > 0);
   --job->running_maps;
   if (mt->preempted) {
-    // Reclaim mark and crash both hit this attempt; the mark lapses.
+    // The reclaim mark is consumed here, or lapses if another exit won.
     BDIO_CHECK(job->preempt_marked > 0);
     --job->preempt_marked;
     if (mt->speculative) {
@@ -734,46 +767,98 @@ void MrEngine::OnMapFailed(std::shared_ptr<Job> job,
     trace_->EndSpan(mt->span);
     trace_->FlowEnd(mt->flow, mt->node + 1);
   }
-  // Everything the crashed attempt did is wasted work: its input reads
-  // plus the spills purged here (the TaskTracker cleans a FAILED attempt's
-  // work directory).
+  // An aborted attempt's input reads and spills drained for nothing. The
+  // TaskTracker purges a killed or failed attempt's work directory; a dead
+  // node keeps its spills and its slot.
   uint64_t wasted = mt->pos;
-  for (const RunFile& r : mt->spills) {
-    wasted += r.bytes;
-    BDIO_CHECK_OK(r.fs->Delete(r.file->name()));
+  for (const RunFile& r : mt->spills) wasted += r.bytes;
+  if (exit != MapExit::kHostLost) {
+    if (exit != MapExit::kCommitted) {
+      for (const RunFile& r : mt->spills) {
+        BDIO_CHECK_OK(r.fs->Delete(r.file->name()));
+      }
+      mt->spills.clear();
+    }
+    ++free_map_slots_[mt->node];
   }
-  mt->spills.clear();
-  ++free_map_slots_[mt->node];
-  ++job->counters.task_failures;
-  ++task_failures_;
-  if (m_retry_failures_) m_retry_failures_->Inc();
-  job->counters.wasted_work_bytes += wasted;
-  wasted_work_bytes_ += wasted;
-  if (m_retry_wasted_) m_retry_wasted_->Add(wasted);
-  if (trace_) {
-    trace_->Instant(mt->node + 1, "mr", "task-crashed",
-                    "{\"split\":" + std::to_string(mt->split_idx) +
-                        ",\"wasted\":" + std::to_string(wasted) +
-                        ",\"job\":\"" + job->obs_label + "\"}");
-  }
-  StrikeNode(mt->node);
   const size_t idx = mt->split_idx;
-  ++job->split_failures[idx];
-  if (job->failing || job->committed[idx] || HasLiveAttempt(job, idx, mt)) {
-    // The split is settled (or a rival attempt still runs): a FAILED
-    // attempt of a settled split charges the budget but re-queues nothing.
-  } else if (job->split_failures[idx] < job->spec.max_task_attempts) {
-    ParkSplit(job, idx);
-  } else if (static_cast<double>(job->counters.splits_abandoned + 1) *
-                 100.0 <=
-             job->spec.max_failures_percent *
-                 static_cast<double>(job->splits.size())) {
-    AbandonSplit(job, idx);
-  } else {
-    FailJob(job, idx);
+  switch (exit) {
+    case MapExit::kCommitted:
+      ++job->maps_done;
+      job->map_duration += cluster_->sim()->Now() - mt->start_time;
+      MaybeStartReducers(job);
+      DispatchReduces();
+      for (auto& rt : job->reducers) {
+        PumpShuffle(job, rt);
+        MaybeFinishShuffle(job, rt);
+      }
+      break;
+    case MapExit::kPreempted:
+      ++job->counters.maps_preempted;
+      if (m_preempted_maps_) m_preempted_maps_->Inc();
+      // A backup whose original is gone must re-queue; an original whose
+      // backup survives must not.
+      if (!SplitSettled(*job, idx, mt)) RequeueSplit(*job, idx);
+      break;
+    case MapExit::kHostLost:
+      ChargeWasted(*job, wasted);
+      if (!SplitSettled(*job, idx, mt)) RequeueSplit(*job, idx);
+      break;
+    case MapExit::kCancelled:
+      ChargeDuplicate(*job, wasted);
+      if (job->failing) break;
+      ++job->counters.speculative_killed;
+      ++speculative_killed_;
+      if (m_spec_killed_) m_spec_killed_->Inc();
+      if (trace_) {
+        trace_->Instant(mt->node + 1, "mr", "speculative-killed",
+                        "{\"split\":" + std::to_string(idx) +
+                            ",\"wasted\":" + std::to_string(wasted) +
+                            ",\"job\":\"" + job->obs_label + "\"}");
+      }
+      break;
+    case MapExit::kCrashed:
+      ++job->counters.task_failures;
+      ++task_failures_;
+      if (m_retry_failures_) m_retry_failures_->Inc();
+      ChargeWasted(*job, wasted);
+      if (trace_) {
+        trace_->Instant(mt->node + 1, "mr", "task-crashed",
+                        "{\"split\":" + std::to_string(idx) +
+                            ",\"wasted\":" + std::to_string(wasted) +
+                            ",\"job\":\"" + job->obs_label + "\"}");
+      }
+      StrikeNode(mt->node);
+      ++job->split_failures[idx];
+      if (job->failing || SplitSettled(*job, idx, mt)) {
+        // A FAILED attempt of a settled split charges the budget but
+        // re-queues nothing.
+      } else if (job->split_failures[idx] < job->spec.max_task_attempts) {
+        ParkSplit(job, idx);
+      } else if (static_cast<double>(job->counters.splits_abandoned + 1) *
+                     100.0 <=
+                 job->spec.max_failures_percent *
+                     static_cast<double>(job->splits.size())) {
+        AbandonSplit(job, idx);
+      } else {
+        FailJob(job, idx);
+      }
+      break;
   }
   DispatchMaps();
-  MaybeFinishJob(job);
+  MaybeFinishJob(job);  // a failing job may have been waiting on this drain
+}
+
+bool MrEngine::AbortAtBoundary(const std::shared_ptr<Job>& job,
+                               const std::shared_ptr<MapTask>& mt) {
+  // On a dead host the attempt runs on; MapFinish retires it as lost.
+  if (node_dead_[mt->node]) return false;
+  if (!mt->preempted && !mt->cancelled && !mt->crashed) return false;
+  RetireMapAttempt(job, mt,
+                   mt->preempted   ? MapExit::kPreempted
+                   : mt->cancelled ? MapExit::kCancelled
+                                   : MapExit::kCrashed);
+  return true;
 }
 
 void MrEngine::ParkSplit(std::shared_ptr<Job> job, size_t split_idx) {
@@ -802,9 +887,7 @@ void MrEngine::ParkSplit(std::shared_ptr<Job> job, size_t split_idx) {
     job->parked[split_idx] = false;
     --job->parked_splits;
     if (job->committed[split_idx]) return;
-    job->started[split_idx] = false;
-    job->pending.push_back(split_idx);
-    ++job->unstarted_maps;
+    RequeueSplit(*job, split_idx);
     DispatchMaps();
   });
 }
@@ -874,7 +957,7 @@ void MrEngine::FailJob(const std::shared_ptr<Job>& job, size_t split_idx) {
     ++job->maps_done;
   }
   // Running attempts abandon at their next boundary; their I/O becomes
-  // wasted work (not speculative waste) in DiscardMapAttempt.
+  // wasted work (not speculative waste) when they retire.
   for (const auto& mt : job->running_map_tasks) {
     if (!mt->preempted && !mt->crashed) mt->cancelled = true;
   }
@@ -894,66 +977,6 @@ void MrEngine::CommitMapAttempt(const std::shared_ptr<Job>& job,
     if (other == mt || other->split_idx != mt->split_idx) continue;
     other->cancelled = true;  // abandons at its next chunk boundary
   }
-}
-
-void MrEngine::DiscardMapAttempt(std::shared_ptr<Job> job,
-                                 std::shared_ptr<MapTask> mt) {
-  BDIO_CHECK(mt->epoch == node_epoch_[mt->node]);
-  BDIO_CHECK(running_maps_ > 0);
-  --running_maps_;
-  BDIO_CHECK(job->running_maps > 0);
-  --job->running_maps;
-  if (mt->preempted) {
-    // Reclaim mark and commit race both hit this attempt; the mark lapses.
-    BDIO_CHECK(job->preempt_marked > 0);
-    --job->preempt_marked;
-    if (mt->speculative) {
-      BDIO_CHECK(job->spec_preempt_marked > 0);
-      --job->spec_preempt_marked;
-    }
-  }
-  if (mt->speculative) {
-    BDIO_CHECK(job->speculative_running > 0);
-    --job->speculative_running;
-  }
-  auto& rmt = job->running_map_tasks;
-  rmt.erase(std::remove(rmt.begin(), rmt.end(), mt), rmt.end());
-  if (trace_) {
-    trace_->EndSpan(mt->span);
-    trace_->FlowEnd(mt->flow, mt->node + 1);
-  }
-  // Everything the loser did is duplicate I/O: the input bytes it read
-  // plus the spills it wrote (deleted here, as Hadoop's TaskTracker purges
-  // a killed attempt's work directory).
-  uint64_t wasted = mt->pos;
-  for (const RunFile& r : mt->spills) {
-    wasted += r.bytes;
-    BDIO_CHECK_OK(r.fs->Delete(r.file->name()));
-  }
-  mt->spills.clear();
-  ++free_map_slots_[mt->node];
-  if (job->failing) {
-    // Aborted by the job's failure drain, not a speculative race: the
-    // attempt's I/O is wasted work, not speculation accounting.
-    job->counters.wasted_work_bytes += wasted;
-    wasted_work_bytes_ += wasted;
-    if (m_retry_wasted_) m_retry_wasted_->Add(wasted);
-  } else {
-    ++job->counters.speculative_killed;
-    job->counters.speculative_wasted_bytes += wasted;
-    ++speculative_killed_;
-    speculative_wasted_bytes_ += wasted;
-    if (m_spec_killed_) m_spec_killed_->Inc();
-    if (m_spec_wasted_) m_spec_wasted_->Add(wasted);
-    if (trace_) {
-      trace_->Instant(mt->node + 1, "mr", "speculative-killed",
-                      "{\"split\":" + std::to_string(mt->split_idx) +
-                          ",\"wasted\":" + std::to_string(wasted) +
-                          ",\"job\":\"" + job->obs_label + "\"}");
-    }
-  }
-  DispatchMaps();
-  MaybeFinishJob(job);  // a failing job may have been waiting on this drain
 }
 
 void MrEngine::DispatchReduces() {
@@ -1005,7 +1028,6 @@ void MrEngine::StartMapTask(std::shared_ptr<Job> job, uint32_t node,
   auto mt = std::make_shared<MapTask>();
   mt->split_idx = split_idx;
   mt->node = node;
-  mt->epoch = node_epoch_[node];
   mt->speculative = speculative;
   mt->reexec = job->reexec[split_idx];
   mt->start_time = cluster_->sim()->Now();
@@ -1033,18 +1055,7 @@ void MrEngine::MapReadLoop(std::shared_ptr<Job> job,
   // Pipeline prologue: fetch the first chunk, then enter the steady state
   // where chunk k's CPU work overlaps chunk k+1's read (the record reader
   // runs ahead of the map function, as in real Hadoop).
-  if (mt->preempted && mt->epoch == node_epoch_[mt->node]) {
-    OnMapPreempted(job, mt);
-    return;
-  }
-  if (mt->cancelled && mt->epoch == node_epoch_[mt->node]) {
-    DiscardMapAttempt(job, mt);  // lost the commit race mid-task
-    return;
-  }
-  if (mt->crashed && mt->epoch == node_epoch_[mt->node]) {
-    OnMapFailed(job, mt);  // crash-task fault hit this attempt
-    return;
-  }
+  if (AbortAtBoundary(job, mt)) return;
   if (mt->pos >= mt->split_bytes) {
     MapSpill(job, mt, [this, job, mt] { MapFinish(job, mt); });
     return;
@@ -1054,13 +1065,7 @@ void MrEngine::MapReadLoop(std::shared_ptr<Job> job,
   hdfs_->Read(mt->input_path, mt->split_offset + mt->pos, n, mt->node,
               [this, job, mt, n](Status s) {
                 BDIO_CHECK_OK(s);
-                job->counters.hdfs_read_bytes += n;
-                if (job->m_hdfs_read) job->m_hdfs_read->Add(n);
-                if (mt->reexec) {
-                  job->counters.reexec_read_bytes += n;
-                  reexec_read_bytes_ += n;
-                  if (m_reexec_read_) m_reexec_read_->Add(n);
-                }
+                ChargeInputRead(*job, *mt, n);
                 MapProcessChunk(job, mt, n);
               });
 }
@@ -1077,20 +1082,9 @@ void MrEngine::MapProcessChunk(std::shared_ptr<Job> job,
 
   auto cont = sim::Latch::Create(2, [this, job, mt, chunk_bytes, next_n] {
     mt->pos += chunk_bytes;
-    if (mt->preempted && mt->epoch == node_epoch_[mt->node]) {
-      // Chunk boundary: a reclaimed attempt abandons here (its in-flight
-      // I/O has drained, as in the failure model).
-      OnMapPreempted(job, mt);
-      return;
-    }
-    if (mt->cancelled && mt->epoch == node_epoch_[mt->node]) {
-      DiscardMapAttempt(job, mt);  // a rival attempt committed this split
-      return;
-    }
-    if (mt->crashed && mt->epoch == node_epoch_[mt->node]) {
-      OnMapFailed(job, mt);  // crash-task fault hit this attempt
-      return;
-    }
+    // Chunk boundary: a marked attempt abandons here (its in-flight I/O
+    // has drained, as in the failure model).
+    if (AbortAtBoundary(job, mt)) return;
     const double out_pre =
         static_cast<double>(chunk_bytes) * job->spec.map_output_ratio;
     auto proceed = [this, job, mt, next_n] {
@@ -1112,13 +1106,7 @@ void MrEngine::MapProcessChunk(std::shared_ptr<Job> job,
 
   // Arm 1: prefetch the next chunk while this one is processed.
   if (next_n > 0) {
-    job->counters.hdfs_read_bytes += next_n;
-    if (job->m_hdfs_read) job->m_hdfs_read->Add(next_n);
-    if (mt->reexec) {
-      job->counters.reexec_read_bytes += next_n;
-      reexec_read_bytes_ += next_n;
-      if (m_reexec_read_) m_reexec_read_->Add(next_n);
-    }
+    ChargeInputRead(*job, *mt, next_n);
     obs::FlowScope flow_scope(trace_, mt->flow);
     hdfs_->Read(mt->input_path, mt->split_offset + next_pos, next_n,
                 mt->node, [cont](Status s) {
@@ -1142,7 +1130,7 @@ void MrEngine::MapProcessChunk(std::shared_ptr<Job> job,
 }
 
 void MrEngine::MapSpill(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt,
-                        std::function<void()> then) {
+                        InlineFn then) {
   const uint64_t pre = mt->buffer_bytes;
   mt->buffer_bytes = 0;
   if (pre == 0 || job->map_only()) {
@@ -1176,7 +1164,7 @@ void MrEngine::MapSpill(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt,
   AppendStream(
       cluster_->sim(), fs, file.value(), post, kTaskChunk,
       [this, mt, fs, f = file.value(), post, span,
-       then = std::move(then)] {
+       then = std::move(then)]() mutable {
         if (trace_) trace_->EndSpan(span);
         mt->spills.push_back(RunFile{fs, f, post});
         then();
@@ -1186,20 +1174,19 @@ void MrEngine::MapSpill(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt,
 
 void MrEngine::MapFinish(std::shared_ptr<Job> job,
                          std::shared_ptr<MapTask> mt) {
-  if (mt->epoch != node_epoch_[mt->node]) {
-    // The host failed while this task ran: discard its work.
-    OnMapDone(job, mt);
+  if (node_dead_[mt->node]) {
+    RetireMapAttempt(job, mt, MapExit::kHostLost);  // host failed meanwhile
     return;
   }
   if (job->committed[mt->split_idx]) {
     // Beaten at the finish line by a rival attempt.
-    DiscardMapAttempt(job, mt);
+    RetireMapAttempt(job, mt, MapExit::kCancelled);
     return;
   }
   if (mt->crashed) {
     // The crash landed between the last chunk and the commit: the attempt
     // still fails (Hadoop reports the attempt lost, not its output).
-    OnMapFailed(job, mt);
+    RetireMapAttempt(job, mt, MapExit::kCrashed);
     return;
   }
   if (job->map_only()) {
@@ -1210,7 +1197,7 @@ void MrEngine::MapFinish(std::shared_ptr<Job> job,
     const uint64_t out = static_cast<uint64_t>(
         static_cast<double>(mt->split_bytes) * job->spec.output_ratio);
     if (out == 0) {
-      OnMapDone(job, mt);
+      RetireMapAttempt(job, mt, MapExit::kCommitted);
       return;
     }
     const std::string path = job->spec.output_path + "/part-m-" +
@@ -1220,18 +1207,18 @@ void MrEngine::MapFinish(std::shared_ptr<Job> job,
         path, out, mt->node, job->spec.output_replication,
         [this, job, mt, out, path](Status s) {
           BDIO_CHECK_OK(s);
-          if (mt->epoch != node_epoch_[mt->node]) {
+          if (node_dead_[mt->node]) {
             // Host failed during the write: withdraw the attempt's output
             // (and its claim) so the re-execution can commit its own.
             BDIO_CHECK_OK(hdfs_->Delete(path));
             job->committed[mt->split_idx] = false;
-            OnMapDone(job, mt);
+            RetireMapAttempt(job, mt, MapExit::kHostLost);
             return;
           }
           job->counters.hdfs_write_bytes += out;
           if (job->m_hdfs_write) job->m_hdfs_write->Add(out);
           ++job->map_outputs_written;
-          OnMapDone(job, mt);
+          RetireMapAttempt(job, mt, MapExit::kCommitted);
         });
     return;
   }
@@ -1247,7 +1234,7 @@ void MrEngine::MapFinish(std::shared_ptr<Job> job,
       mo.bytes = mt->spills[0].bytes;
     }
     job->map_outputs.push_back(mo);
-    OnMapDone(job, mt);
+    RetireMapAttempt(job, mt, MapExit::kCommitted);
     return;
   }
 
@@ -1270,143 +1257,50 @@ void MrEngine::MapFinish(std::shared_ptr<Job> job,
         "{\"width\":" + std::to_string(mt->spills.size()) + ",\"bytes\":" +
             std::to_string(total) + "}");
   }
-
-  struct MergeState {
-    std::vector<RunFile> inputs;
-    std::vector<uint64_t> pos;
-    size_t cursor = 0;
-  };
-  auto ms = std::make_shared<MergeState>();
-  ms->inputs = mt->spills;
-  ms->pos.assign(mt->spills.size(), 0);
-
-  auto step = std::make_shared<std::function<void()>>();
-  auto finish = [this, job, mt, out_fs, out = out_file.value(), total,
-                 merge_span, step] {
-    *step = nullptr;  // break the cycle (safe: invoked via event queue)
-    if (trace_) trace_->EndSpan(merge_span);
-    if (mt->epoch != node_epoch_[mt->node]) {
-      OnMapDone(job, mt);  // host failed mid-merge: discard
-      return;
-    }
-    if (job->committed[mt->split_idx]) {
-      // A rival committed while this attempt merged: the merged output is
-      // pure waste on top of the spills DiscardMapAttempt purges.
-      BDIO_CHECK_OK(out_fs->Delete(out->name()));
-      if (job->failing) {
-        job->counters.wasted_work_bytes += total;
-        wasted_work_bytes_ += total;
-        if (m_retry_wasted_) m_retry_wasted_->Add(total);
-      } else {
-        job->counters.speculative_wasted_bytes += total;
-        speculative_wasted_bytes_ += total;
-        if (m_spec_wasted_) m_spec_wasted_->Add(total);
-      }
-      DiscardMapAttempt(job, mt);
-      return;
-    }
-    CommitMapAttempt(job, mt);
-    for (const RunFile& r : mt->spills) {
-      BDIO_CHECK_OK(r.fs->Delete(r.file->name()));
-    }
-    MapOutput mo;
-    mo.node = mt->node;
-    mo.split_idx = mt->split_idx;
-    mo.fs = out_fs;
-    mo.file = out;
-    mo.bytes = total;
-    job->map_outputs.push_back(mo);
-    OnMapDone(job, mt);
-  };
-  *step = [this, job, ms, out_fs, out = out_file.value(), flow = mt->flow,
-           step, finish] {
-    // Pick the next input with data remaining, round-robin.
-    size_t picked = SIZE_MAX;
-    for (size_t k = 0; k < ms->inputs.size(); ++k) {
-      const size_t i = (ms->cursor + k) % ms->inputs.size();
-      if (ms->pos[i] < ms->inputs[i].bytes) {
-        picked = i;
-        break;
-      }
-    }
-    if (picked == SIZE_MAX) {
-      cluster_->sim()->ScheduleAfter(SimDuration{}, finish);
-      return;
-    }
-    ms->cursor = picked + 1;
-    const RunFile& in = ms->inputs[picked];
-    const uint64_t n = std::min(kTaskChunk, in.bytes - ms->pos[picked]);
-    job->counters.intermediate_read_bytes += n;
-    obs::FlowScope flow_scope(trace_, flow);
-    in.fs->Read(in.file, ms->pos[picked], n,
-                [this, job, ms, picked, n, out_fs, out, flow, step] {
-                  ms->pos[picked] += n;
-                  job->counters.intermediate_write_bytes += n;
-                  obs::FlowScope flow_scope(trace_, flow);
-                  out_fs->Append(out, n, [step] {
-                    if (*step) (*step)();
-                  });
-                });
-  };
-  (*step)();
+  std::make_shared<MapMerge>(this, job, mt, out_fs, out_file.value(), total,
+                             merge_span)
+      ->Step();
 }
 
-void MrEngine::OnMapDone(std::shared_ptr<Job> job,
-                         std::shared_ptr<MapTask> mt) {
-  BDIO_CHECK(running_maps_ > 0);
-  --running_maps_;
-  BDIO_CHECK(job->running_maps > 0);
-  --job->running_maps;
-  if (mt->preempted) {
-    // Marked for reclaim but completed (or died) first; the mark lapses.
-    BDIO_CHECK(job->preempt_marked > 0);
-    --job->preempt_marked;
-    if (mt->speculative) {
-      BDIO_CHECK(job->spec_preempt_marked > 0);
-      --job->spec_preempt_marked;
-    }
-  }
-  if (mt->speculative) {
-    BDIO_CHECK(job->speculative_running > 0);
-    --job->speculative_running;
-  }
-  auto& rmt = job->running_map_tasks;
-  rmt.erase(std::remove(rmt.begin(), rmt.end(), mt), rmt.end());
-  if (trace_) {
-    trace_->EndSpan(mt->span);
-    trace_->FlowEnd(mt->flow, mt->node + 1);
-  }
-  if (mt->epoch != node_epoch_[mt->node]) {
-    // Discarded attempt: put the split back and try elsewhere (unless a
-    // rival attempt already committed it, or still can). The dead node's
-    // slot is not returned. Everything the stranded attempt read and
-    // spilled drained for nothing.
-    uint64_t wasted = mt->pos;
-    for (const RunFile& r : mt->spills) wasted += r.bytes;
-    job->counters.wasted_work_bytes += wasted;
-    wasted_work_bytes_ += wasted;
-    if (m_retry_wasted_) m_retry_wasted_->Add(wasted);
-    if (!job->committed[mt->split_idx] &&
-        !HasLiveAttempt(job, mt->split_idx, mt)) {
-      job->started[mt->split_idx] = false;
-      job->pending.push_back(mt->split_idx);
-      ++job->unstarted_maps;
-    }
-    DispatchMaps();
-    MaybeFinishJob(job);  // a failing job may have been waiting this drain
+void MrEngine::MapMerge::Step() {
+  uint64_t offset = 0;
+  uint64_t n = 0;
+  const RunFile* in = cursor.Next(&offset, &n);
+  if (in == nullptr) {
+    engine->cluster_->sim()->ScheduleAfter(
+        SimDuration{}, [self = shared_from_this()] { self->Finish(); });
     return;
   }
-  ++free_map_slots_[mt->node];
-  ++job->maps_done;
-  job->map_duration += cluster_->sim()->Now() - mt->start_time;
-  MaybeStartReducers(job);
-  DispatchReduces();
-  for (auto& rt : job->reducers) {
-    PumpShuffle(job, rt);
-    MaybeFinishShuffle(job, rt);
+  job->counters.intermediate_read_bytes += n;
+  obs::FlowScope flow_scope(engine->trace_, mt->flow);
+  in->fs->Read(in->file, offset, n, [self = shared_from_this(), n] {
+    self->job->counters.intermediate_write_bytes += n;
+    obs::FlowScope flow_scope(self->engine->trace_, self->mt->flow);
+    self->out_fs->Append(self->out, n, [self] { self->Step(); });
+  });
+}
+
+void MrEngine::MapMerge::Finish() {
+  if (engine->trace_) engine->trace_->EndSpan(span);
+  if (engine->node_dead_[mt->node]) {
+    engine->RetireMapAttempt(job, mt, MapExit::kHostLost);
+    return;
   }
-  DispatchMaps();
-  MaybeFinishJob(job);
+  if (job->committed[mt->split_idx]) {
+    // A rival committed while this attempt merged: the merged output is
+    // pure waste on top of the spills the retire purges.
+    BDIO_CHECK_OK(out_fs->Delete(out->name()));
+    engine->ChargeDuplicate(*job, total);
+    engine->RetireMapAttempt(job, mt, MapExit::kCancelled);
+    return;
+  }
+  engine->CommitMapAttempt(job, mt);
+  for (const RunFile& r : mt->spills) {
+    BDIO_CHECK_OK(r.fs->Delete(r.file->name()));
+  }
+  job->map_outputs.push_back(
+      MapOutput{mt->node, out_fs, out, total, mt->split_idx});
+  engine->RetireMapAttempt(job, mt, MapExit::kCommitted);
 }
 
 // ---------------------------------------------------------------------------
@@ -1431,7 +1325,7 @@ void MrEngine::MaybeStartReducers(std::shared_ptr<Job> job) {
 
 void MrEngine::PumpShuffle(std::shared_ptr<Job> job,
                            std::shared_ptr<ReduceTask> rt) {
-  if (rt->dead || rt->merging || rt->spilling) return;
+  if (node_dead_[rt->node] || rt->merging || rt->spilling) return;
   while (rt->inflight < job->spec.parallel_copies &&
          rt->next_output < job->map_outputs.size()) {
     const MapOutput& mo = job->map_outputs[rt->next_output++];
@@ -1485,7 +1379,7 @@ void MrEngine::PumpShuffle(std::shared_ptr<Job> job,
 
 void MrEngine::ReduceSpill(std::shared_ptr<Job> job,
                            std::shared_ptr<ReduceTask> rt,
-                           std::function<void()> then) {
+                           InlineFn then) {
   const uint64_t bytes = rt->mem_bytes;
   rt->mem_bytes = 0;
   if (bytes == 0) {
@@ -1509,7 +1403,7 @@ void MrEngine::ReduceSpill(std::shared_ptr<Job> job,
   AppendStream(
       cluster_->sim(), fs, file.value(), bytes, kTaskChunk,
       [this, rt, fs, f = file.value(), bytes, span,
-       then = std::move(then)] {
+       then = std::move(then)]() mutable {
         if (trace_) trace_->EndSpan(span);
         rt->runs.push_back(RunFile{fs, f, bytes});
         rt->spilling = false;
@@ -1520,7 +1414,7 @@ void MrEngine::ReduceSpill(std::shared_ptr<Job> job,
 
 void MrEngine::MaybeFinishShuffle(std::shared_ptr<Job> job,
                                   std::shared_ptr<ReduceTask> rt) {
-  if (rt->dead || rt->merging || rt->spilling) return;
+  if (node_dead_[rt->node] || rt->merging || rt->spilling) return;
   if (job->maps_done < job->splits.size()) return;
   if (rt->next_output < job->map_outputs.size()) return;
   if (rt->inflight > 0) return;
@@ -1537,18 +1431,6 @@ void MrEngine::ReduceMergeAndRun(std::shared_ptr<Job> job,
     cpu_per_byte += 0.5 * job->spec.compress_cpu_ns_per_byte;
   }
 
-  struct MergeState {
-    std::vector<RunFile> inputs;
-    std::vector<uint64_t> pos;
-    size_t cursor = 0;
-    uint64_t mem_left = 0;
-    uint64_t pending_n = 0;  ///< Bytes of the chunk currently in hand.
-    bool drained = false;    ///< All run data has been read.
-  };
-  auto ms = std::make_shared<MergeState>();
-  ms->inputs = rt->runs;
-  ms->pos.assign(rt->runs.size(), 0);
-  ms->mem_left = rt->mem_bytes;
   if (m_merge_width_ && !rt->runs.empty()) {
     m_merge_width_->Observe(static_cast<double>(rt->runs.size()));
   }
@@ -1558,135 +1440,95 @@ void MrEngine::ReduceMergeAndRun(std::shared_ptr<Job> job,
         "{\"runs\":" + std::to_string(rt->runs.size()) + ",\"mem\":" +
             std::to_string(rt->mem_bytes) + "}");
   }
+  std::make_shared<ReduceMerge>(this, job, rt, cpu_per_byte)->Step();
+}
 
-  auto step = std::make_shared<std::function<void()>>();
-  auto finish = [this, job, rt, step] {
-    *step = nullptr;
-    if (trace_) {
-      trace_->EndSpan(rt->merge_span);
-      rt->merge_span = 0;
+void MrEngine::ReduceMerge::Step() {
+  if (engine->node_dead_[rt->node]) return;  // host failed: abandon
+  if (drained && pending_n == 0 && mem_left == 0) {
+    Finish();  // the last CPU slice completed
+    return;
+  }
+  auto self = shared_from_this();
+  cluster::CpuScheduler* cpu = engine->cluster_->node(rt->node)->cpu();
+  // Memory-resident bytes cost only CPU; burn them first.
+  if (mem_left > 0) {
+    const uint64_t n = std::min(kTaskChunk, mem_left);
+    mem_left -= n;
+    cpu->Run(static_cast<SimDuration>(static_cast<double>(n) * cpu_per_byte),
+             [self] { self->Step(); });
+    return;
+  }
+  const uint64_t current_n = pending_n;
+  if (current_n == 0) {
+    // Pipeline prologue: fetch the first disk chunk (or finish).
+    if (!ReadNext([self] { self->Step(); })) {
+      engine->cluster_->sim()->ScheduleAfter(SimDuration{},
+                                             [self] { self->Finish(); });
     }
-    // Write the reduce output slice to HDFS.
-    const uint64_t job_input = [&] {
-      uint64_t total = 0;
-      for (const Split& s : job->splits) total += s.bytes;
-      return total;
-    }();
-    const uint64_t out = static_cast<uint64_t>(
-        static_cast<double>(job_input) * job->spec.output_ratio /
-        static_cast<double>(job->num_reducers));
-    if (out == 0) {
-      OnReduceDone(job, rt);
-      return;
-    }
-    char name[32];
-    std::snprintf(name, sizeof(name), "/part-r-%05u", rt->idx);
-    const std::string path = job->spec.output_path + name;
-    obs::FlowScope flow_scope(trace_, rt->flow);
-    hdfs_->WriteReplicated(path, out, rt->node,
-                           job->spec.output_replication,
-                           [this, job, rt, out, path](Status s) {
-                             BDIO_CHECK_OK(s);
-                             if (rt->dead) {
-                               // Host failed during the write: withdraw it.
-                               BDIO_CHECK_OK(hdfs_->Delete(path));
-                               return;
-                             }
-                             job->counters.hdfs_write_bytes += out;
-                             if (job->m_hdfs_write) {
-                               job->m_hdfs_write->Add(out);
-                             }
-                             OnReduceDone(job, rt);
-                           });
-  };
-  // Picks the next on-disk chunk (round-robin over the runs) and starts its
-  // read; returns false when all runs are drained.
-  auto read_next = [this, job, ms,
-                    flow = rt->flow](InlineFn on_ready) -> bool {
-    size_t picked = SIZE_MAX;
-    for (size_t k = 0; k < ms->inputs.size(); ++k) {
-      const size_t i = (ms->cursor + k) % ms->inputs.size();
-      if (ms->pos[i] < ms->inputs[i].bytes) {
-        picked = i;
-        break;
-      }
-    }
-    if (picked == SIZE_MAX) return false;
-    ms->cursor = picked + 1;
-    const RunFile& in = ms->inputs[picked];
-    const uint64_t n = std::min(kTaskChunk, in.bytes - ms->pos[picked]);
-    ms->pos[picked] += n;
-    ms->pending_n = n;
-    job->counters.intermediate_read_bytes += n;
-    obs::FlowScope flow_scope(trace_, flow);
-    in.fs->Read(in.file, ms->pos[picked] - n, n, std::move(on_ready));
-    return true;
-  };
-
+    return;
+  }
   // Steady state: CPU for the chunk in hand overlaps the next chunk's read.
-  *step = [this, job, rt, ms, cpu_per_byte, read_next, step, finish] {
-    // Memory-resident bytes cost only CPU; burn them first.
-    if (ms->mem_left > 0) {
-      const uint64_t n = std::min(kTaskChunk, ms->mem_left);
-      ms->mem_left -= n;
-      cluster_->node(rt->node)->cpu()->Run(
-          static_cast<SimDuration>(static_cast<double>(n) * cpu_per_byte),
-          [step] {
-            if (*step) (*step)();
-          });
-      return;
-    }
-    const uint64_t current_n = ms->pending_n;
-    if (current_n == 0) {
-      // Pipeline prologue: fetch the first disk chunk (or finish).
-      if (!read_next([step] {
-            if (*step) (*step)();
-          })) {
-        cluster_->sim()->ScheduleAfter(SimDuration{}, finish);
-      }
-      return;
-    }
-    // Current chunk's data is in hand.
-    auto cont = sim::Latch::Create(2, [step] {
-      if (*step) (*step)();
-    });
-    ms->pending_n = 0;
-    if (!read_next(cont->Arm())) {
-      // Nothing left to read: finish once the last CPU slice completes.
-      ms->drained = true;
-      cont->Arrive();
-    }
-    cluster_->node(rt->node)->cpu()->Run(
-        static_cast<SimDuration>(static_cast<double>(current_n) *
-                                 cpu_per_byte),
-        cont->Arm());
-  };
-  // Route the step chain through a drain check so the last CPU slice's
-  // completion finishes the task.
-  auto inner = *step;
-  *step = [rt, step, inner, ms, finish] {
-    if (rt->dead) {
-      // Host failed: abandon the merge (copy-to-local before clearing the
-      // closure we are executing).
-      auto keep = step;
-      *keep = nullptr;
-      return;
-    }
-    if (ms->drained && ms->pending_n == 0 && ms->mem_left == 0) {
-      // finish() clears *step, destroying this very closure — call a stack
-      // copy so its captures outlive the destruction.
-      auto finish_local = finish;
-      finish_local();
-      return;
-    }
-    inner();
-  };
-  (*step)();
+  auto cont = sim::Latch::Create(2, [self] { self->Step(); });
+  pending_n = 0;
+  if (!ReadNext(cont->Arm())) {
+    // Nothing left to read: finish once the last CPU slice completes.
+    drained = true;
+    cont->Arrive();
+  }
+  cpu->Run(static_cast<SimDuration>(static_cast<double>(current_n) *
+                                    cpu_per_byte),
+           cont->Arm());
+}
+
+bool MrEngine::ReduceMerge::ReadNext(InlineFn on_ready) {
+  uint64_t offset = 0;
+  uint64_t n = 0;
+  const RunFile* in = cursor.Next(&offset, &n);
+  if (in == nullptr) return false;
+  pending_n = n;
+  job->counters.intermediate_read_bytes += n;
+  obs::FlowScope flow_scope(engine->trace_, rt->flow);
+  in->fs->Read(in->file, offset, n, std::move(on_ready));
+  return true;
+}
+
+void MrEngine::ReduceMerge::Finish() {
+  if (engine->trace_) {
+    engine->trace_->EndSpan(rt->merge_span);
+    rt->merge_span = 0;
+  }
+  uint64_t job_input = 0;
+  for (const Split& s : job->splits) job_input += s.bytes;
+  const uint64_t out = static_cast<uint64_t>(
+      static_cast<double>(job_input) * job->spec.output_ratio /
+      static_cast<double>(job->num_reducers));
+  if (out == 0) {
+    engine->OnReduceDone(job, rt);
+    return;
+  }
+  char name[32];
+  std::snprintf(name, sizeof(name), "/part-r-%05u", rt->idx);
+  const std::string path = job->spec.output_path + name;
+  obs::FlowScope flow_scope(engine->trace_, rt->flow);
+  engine->hdfs_->WriteReplicated(
+      path, out, rt->node, job->spec.output_replication,
+      [engine = engine, job = job, rt = rt, out, path](Status s) {
+        BDIO_CHECK_OK(s);
+        if (engine->node_dead_[rt->node]) {
+          // Host failed during the write: withdraw it.
+          BDIO_CHECK_OK(engine->hdfs_->Delete(path));
+          return;
+        }
+        job->counters.hdfs_write_bytes += out;
+        if (job->m_hdfs_write) job->m_hdfs_write->Add(out);
+        engine->OnReduceDone(job, rt);
+      });
 }
 
 void MrEngine::OnReduceDone(std::shared_ptr<Job> job,
                             std::shared_ptr<ReduceTask> rt) {
-  if (rt->dead) return;  // a replacement owns this partition now
+  if (node_dead_[rt->node]) return;  // a replacement owns this partition
   rt->done = true;
   if (trace_) {
     trace_->EndSpan(rt->span);
@@ -1715,7 +1557,7 @@ void MrEngine::MaybeFinishJob(std::shared_ptr<Job> job) {
   // straggler never outlives the reduce phase).
   if (job->failing && job->running_maps > 0) return;
   if (job->map_only()) {
-    // All maps done; their HDFS writes complete inside OnMapDone's chain,
+    // All maps done; each HDFS write completes before its attempt retires,
     // so maps_done implies outputs written.
   } else {
     if (!job->reducers_created) {
@@ -1767,7 +1609,7 @@ void MrEngine::FireCompletionHooks(uint32_t job_id, const Status& status,
 std::string MrEngine::AuditInvariants() const {
   uint32_t maps = 0;
   uint32_t reduces = 0;
-  // Per-node occupied slots (current-epoch attempts only; attempts stranded
+  // Per-node occupied slots (attempts on live nodes only; attempts stranded
   // on a dead node hold no slot — the failure zeroed its pool).
   std::vector<uint32_t> map_busy(free_map_slots_.size(), 0);
   std::vector<uint32_t> reduce_busy(free_reduce_slots_.size(), 0);
@@ -1786,7 +1628,7 @@ std::string MrEngine::AuditInvariants() const {
       if (mt->speculative) ++spec;
       if (mt->preempted) ++marked;
       if (mt->preempted && mt->speculative) ++spec_marked;
-      if (mt->epoch == node_epoch_[mt->node]) ++map_busy[mt->node];
+      if (!node_dead_[mt->node]) ++map_busy[mt->node];
     }
     if (spec != job->speculative_running || marked != job->preempt_marked ||
         spec_marked != job->spec_preempt_marked) {
@@ -1824,9 +1666,9 @@ std::string MrEngine::AuditInvariants() const {
     }
     uint32_t running_red = 0;
     for (const auto& rt : job->reducers) {
-      if (!rt->done && !rt->dead) {
+      if (!rt->done && !node_dead_[rt->node]) {
         ++running_red;
-        if (!node_dead_[rt->node]) ++reduce_busy[rt->node];
+        ++reduce_busy[rt->node];
       }
     }
     if (running_red != job->running_reduces) {

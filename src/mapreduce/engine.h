@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/inline_fn.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "hdfs/hdfs.h"
@@ -195,6 +196,20 @@ class MrEngine {
   struct ReduceTask;
   struct MapTask;
   struct Job;
+  struct RunCursor;
+  struct MapMerge;
+  struct ReduceMerge;
+
+  /// How a map attempt leaves the engine. A live attempt checks its marks
+  /// at each chunk boundary, preempted before cancelled before crashed; an
+  /// attempt whose host is dead runs on and is lost when it reports in.
+  enum class MapExit {
+    kCommitted,
+    kPreempted,
+    kCancelled,
+    kCrashed,
+    kHostLost,
+  };
 
   /// Offers free map slots (node-major, repeated passes) to the policy
   /// until no slot or no runnable map remains; leftover slots are then
@@ -218,28 +233,37 @@ class MrEngine {
   /// at its next chunk boundary and its spills are deleted).
   void CommitMapAttempt(const std::shared_ptr<Job>& job,
                         const std::shared_ptr<MapTask>& mt);
-  /// Retires an attempt that lost the commit race (cancelled mid-task or
-  /// beaten at the finish line): purges its spills, frees its slot, and
-  /// charges the duplicate I/O to the speculative-waste counters.
-  void DiscardMapAttempt(std::shared_ptr<Job> job,
-                         std::shared_ptr<MapTask> mt);
+  /// The one way a map attempt leaves the engine: releases its running
+  /// counters, marks, list entry, span and flow, then does what `exit`
+  /// alone does (docs/FAULTS.md, "How a map attempt exits").
+  void RetireMapAttempt(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt,
+                        MapExit exit);
+  /// Chunk boundary: retires a live attempt marked preempted, cancelled or
+  /// crashed (in that order) and returns true; false when it runs on.
+  bool AbortAtBoundary(const std::shared_ptr<Job>& job,
+                       const std::shared_ptr<MapTask>& mt);
   /// True when some live attempt of `split_idx` is still running.
-  bool HasLiveAttempt(const std::shared_ptr<Job>& job, size_t split_idx,
+  bool HasLiveAttempt(const Job& job, size_t split_idx,
                       const std::shared_ptr<MapTask>& except) const;
+  /// True when `split_idx` needs no new attempt: it is committed, or a live
+  /// attempt other than `except` still runs it.
+  bool SplitSettled(const Job& job, size_t split_idx,
+                    const std::shared_ptr<MapTask>& except) const;
+  /// Puts `split_idx` back on the job's global queue.
+  void RequeueSplit(Job& job, size_t split_idx);
+  /// Charges `bytes` of lost work to the wasted-work counters.
+  void ChargeWasted(Job& job, uint64_t bytes);
+  /// Charges `bytes` an attempt that lost a commit race did for nothing:
+  /// speculative waste, or wasted work when the job is failing.
+  void ChargeDuplicate(Job& job, uint64_t bytes);
+  /// Charges an input read of `bytes` (and its re-execution share).
+  void ChargeInputRead(Job& job, const MapTask& mt, uint64_t bytes);
   void MapReadLoop(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt);
   void MapProcessChunk(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt,
                        uint64_t chunk_bytes);
   void MapSpill(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt,
-                std::function<void()> then);
+                InlineFn then);
   void MapFinish(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt);
-  void OnMapDone(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt);
-  /// A preempted attempt abandons: spills are purged, the split re-queues,
-  /// and the slot returns to the pool.
-  void OnMapPreempted(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt);
-  /// A crashed attempt abandons as a FAILED attempt: its I/O is charged to
-  /// wasted-work, the node is struck, and the split either re-queues after
-  /// backoff, is abandoned under max_failures_percent, or fails the job.
-  void OnMapFailed(std::shared_ptr<Job> job, std::shared_ptr<MapTask> mt);
   /// Parks `split_idx` for a capped exponential backoff, then re-queues it.
   void ParkSplit(std::shared_ptr<Job> job, size_t split_idx);
   /// Gives up on `split_idx` (budget exhausted, within the job's
@@ -258,7 +282,7 @@ class MrEngine {
   void MaybeStartReducers(std::shared_ptr<Job> job);
   void PumpShuffle(std::shared_ptr<Job> job, std::shared_ptr<ReduceTask> rt);
   void ReduceSpill(std::shared_ptr<Job> job, std::shared_ptr<ReduceTask> rt,
-                   std::function<void()> then);
+                   InlineFn then);
   void MaybeFinishShuffle(std::shared_ptr<Job> job,
                           std::shared_ptr<ReduceTask> rt);
   void ReduceMergeAndRun(std::shared_ptr<Job> job,
@@ -276,8 +300,9 @@ class MrEngine {
   Rng rng_;
   std::vector<uint32_t> free_map_slots_;
   std::vector<uint32_t> free_reduce_slots_;
+  /// Set once per node by InjectNodeFailure and never cleared; an attempt
+  /// whose node is dead is lost.
   std::vector<bool> node_dead_;
-  std::vector<uint64_t> node_epoch_;  ///< Bumped per failure.
   FaultToleranceConfig ft_config_;
   std::vector<uint32_t> node_strikes_;    ///< Failures since last decay.
   std::vector<bool> node_blacklisted_;
@@ -331,14 +356,13 @@ class MrEngine {
 /// when the last append is accepted. When `trace`/`flow` are given, every
 /// step runs under that trace flow so downstream layers stay linked.
 void AppendStream(sim::Simulator* sim, os::FileSystem* fs, os::File* file,
-                  uint64_t total, uint64_t chunk, std::function<void()> cb,
+                  uint64_t total, uint64_t chunk, InlineFn cb,
                   obs::TraceSession* trace = nullptr, uint64_t flow = 0);
 
 /// Streams a read of [offset, offset+total) in `chunk`-sized requests.
 void ReadStream(sim::Simulator* sim, os::FileSystem* fs, os::File* file,
-                uint64_t offset, uint64_t total, uint64_t chunk,
-                std::function<void()> cb, obs::TraceSession* trace = nullptr,
-                uint64_t flow = 0);
+                uint64_t offset, uint64_t total, uint64_t chunk, InlineFn cb,
+                obs::TraceSession* trace = nullptr, uint64_t flow = 0);
 
 }  // namespace bdio::mapreduce
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include "cluster/cluster.h"
 #include "common/io_tag.h"
 #include "core/experiment.h"
+#include "core/testbed.h"
+#include "dag/job_dag.h"
 #include "hdfs/hdfs.h"
 #include "mapreduce/engine.h"
 #include "obs/metrics.h"
@@ -163,6 +166,76 @@ TEST(InvariantCheckerTest, CheckedExperimentIsByteIdenticalToUnchecked) {
   // The checker is read-only: not one metric may move.
   EXPECT_EQ(plain->duration_s, checked->duration_s);
   EXPECT_EQ(plain->metrics->ToCsv(), checked->metrics->ToCsv());
+}
+
+/// A two-node chain /in -> /mid -> /out-<name>: once it finishes, /mid is
+/// an expired intermediate path that must stay empty.
+dag::DagSpec ChainDag(const std::string& name) {
+  dag::DagSpec spec;
+  spec.name = name;
+  for (const auto& [in, out] :
+       {std::pair<std::string, std::string>{"/in", "/mid-" + name},
+        {"/mid-" + name, "/out-" + name}}) {
+    dag::DagNode node;
+    node.spec.name = name;
+    node.spec.input_path = in;
+    node.spec.output_path = out;
+    node.spec.num_reduce_tasks = 2;
+    if (!spec.nodes.empty()) node.deps.push_back(0);
+    spec.nodes.push_back(std::move(node));
+  }
+  return spec;
+}
+
+// The checker audits every dag it watches, not only the last one
+// registered: blocks planted under the first dag's expired path are found.
+TEST(InvariantCheckerTest, AuditsEveryWatchedDag) {
+  sim::Simulator sim;
+  cluster::ClusterParams cp;
+  cp.num_workers = 4;
+  cp.node.memory_bytes = GiB(4);
+  cp.node.daemon_bytes = MiB(256);
+  cp.node.per_slot_heap_bytes = MiB(16);
+  cluster::Cluster cluster(&sim, cp, 8, Rng(1));
+  hdfs::Hdfs dfs(&cluster, hdfs::HdfsParams{}, Rng(2));
+  mapreduce::MrEngine engine(&cluster, &dfs, mapreduce::SlotConfig{4, 4, "t"},
+                             Rng(3));
+  ASSERT_TRUE(dfs.Preload("/in", MiB(64)).ok());
+  dag::JobDag first(&sim, &engine, &dfs, ChainDag("first"));
+  dag::JobDag second(&sim, &engine, &dfs, ChainDag("second"));
+  first.Run([](Status s) { EXPECT_TRUE(s.ok()) << s.ToString(); });
+  second.Run([](Status s) { EXPECT_TRUE(s.ok()) << s.ToString(); });
+  sim.Run();
+
+  InvariantChecker checker(&sim, NonFatal());
+  checker.WatchDag(&first);
+  checker.WatchDag(&second);
+  checker.CheckNow();
+  ASSERT_TRUE(checker.last_violation().empty()) << checker.last_violation();
+  ASSERT_TRUE(dfs.Preload("/mid-first/orphan", MiB(1)).ok());
+  checker.CheckNow();
+  EXPECT_NE(checker.last_violation().find("dag first: expired path"),
+            std::string::npos)
+      << checker.last_violation();
+}
+
+// Under BDIO_CHECK_INVARIANTS=1 a Testbed's checker watches every dag added
+// to it: blocks planted under the second dag's expired path abort the run
+// at the checker's final audit.
+TEST(InvariantCheckerDeathTest, TestbedAuditsEveryDag) {
+  EXPECT_DEATH(
+      {
+        ::setenv("BDIO_CHECK_INVARIANTS", "1", 1);
+        core::TestbedSpec spec;
+        spec.cluster = core::ScaledClusterParams(GiB(16), 1.0 / 256, 4);
+        core::Testbed bed(spec, Rng(42));
+        BDIO_CHECK_OK(bed.Preload("/in", MiB(64)));
+        bed.AddDag(ChainDag("first")).Run([](Status) {});
+        bed.AddDag(ChainDag("second")).Run([](Status) {});
+        bed.sim().Run();
+        BDIO_CHECK_OK(bed.Preload("/mid-second/orphan", MiB(1)));
+      },
+      "dag second: expired path");
 }
 
 }  // namespace
